@@ -4,7 +4,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-numba test-chaos serve-smoke bench-regress \
         bench-regress-update bench bench-e2e bench-e2e-update \
-        bench-e2e-smoke bench-serve bench-serve-update install-numba
+        bench-e2e-smoke bench-serve bench-serve-update install-numba \
+        perfbench-selftest
 
 # Tier-1 verification: the fast test suite (bench/chaos deselected).
 test:
@@ -73,3 +74,11 @@ bench-serve-update:
 # The full pytest-benchmark micro-bench suite (slow, informational).
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_kernels.py --benchmark-only -q
+
+# Self-test of the repo benchmark (perfbench/) on tiny inputs: every
+# workload prints every metric, the oracle catches corrupted answers,
+# and each traced per-layer row the workload exercises is non-zero — a
+# refactor that stops calling a timed layer through its module
+# attribute shows up here as a zero row.
+perfbench-selftest:
+	$(PYTHON) perfbench/run.py --selftest

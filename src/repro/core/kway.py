@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.medium_grain import build_medium_grain
-from repro.core.methods import METHOD_NAMES, _build_model
+from repro.core.methods import METHOD_NAMES, _build_model, _run_localbest
 from repro.core.recursive import PartitionResult
 from repro.core.refine import iterative_refine
 from repro.core.split import initial_split
@@ -205,10 +205,17 @@ def partition_kway(
         if nparts == 1:
             parts = np.zeros(n, dtype=np.int64)
         elif method == "localbest":
-            parts, degraded = _run_localbest_kway(
-                matrix, nparts, ceilings, cfg, rng, backend, vcycles,
-                deadline,
-            )
+
+            def partition_model(model):
+                nonlocal degraded
+                vparts, found = _kway_vertex_partition(
+                    model.hypergraph, nparts, ceilings, cfg, rng, backend,
+                    vcycles, deadline,
+                )
+                degraded += found
+                return model.nonzero_parts(vparts)
+
+            parts = _run_localbest(matrix, nparts, partition_model, {})
         elif method == "mediumgrain":
             split = initial_split(matrix, rng)
             instance = build_medium_grain(split)
@@ -261,36 +268,3 @@ def partition_kway(
         bisection_volumes=[],
         failures=tuple(d.brief() for d in degraded),
     )
-
-
-def _run_localbest_kway(
-    matrix: SparseMatrix,
-    nparts: int,
-    ceilings: np.ndarray,
-    cfg: PartitionerConfig,
-    rng: np.random.Generator,
-    backend: KernelBackend,
-    vcycles: int = 0,
-    deadline: Deadline | None = None,
-) -> tuple[np.ndarray, tuple[Degraded, ...]]:
-    """Row-net and column-net k-way runs, keep the lower volume (ties:
-    better balance, then row-net) — the k-way mirror of ``localbest``."""
-    best_parts: np.ndarray | None = None
-    best_key: tuple | None = None
-    all_degraded: tuple[Degraded, ...] = ()
-    for name in ("rownet", "colnet"):
-        model = _build_model(matrix, name)
-        vparts, degraded = _kway_vertex_partition(
-            model.hypergraph, nparts, ceilings, cfg, rng, backend, vcycles,
-            deadline,
-        )
-        all_degraded += degraded
-        parts = model.nonzero_parts(vparts)
-        key = (
-            communication_volume(matrix, parts),
-            max_part_size(matrix, parts, nparts),
-        )
-        if best_key is None or key < best_key:
-            best_parts, best_key = parts, key
-    assert best_parts is not None
-    return best_parts, all_degraded

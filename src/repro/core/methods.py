@@ -25,7 +25,7 @@ partitioning time (the paper's second metric) and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -172,7 +172,13 @@ def bipartition(
     timer = Timer()
     with timer:
         if method == "localbest":
-            parts = _run_localbest(matrix, eps, cfg, rng, max_weights, details)
+            parts = _run_localbest(
+                matrix, 2,
+                lambda model: _partition_model(
+                    model, eps, cfg, rng, max_weights
+                ),
+                details,
+            )
         elif method == "mediumgrain":
             parts = _run_medium_grain(matrix, eps, cfg, rng, max_weights, details)
         else:
@@ -239,22 +245,24 @@ def _partition_model(
 
 def _run_localbest(
     matrix: SparseMatrix,
-    eps: float,
-    cfg: PartitionerConfig,
-    rng: np.random.Generator,
-    max_weights: tuple[int, int],
+    nparts: int,
+    partition_model: Callable[[HypergraphModel], np.ndarray],
     details: dict,
 ) -> np.ndarray:
     """Row-net and column-net, keep the lower communication volume
-    (ties: better balance, then row-net)."""
+    (ties: better balance, then row-net).
+
+    ``partition_model`` maps a 1D model to a nonzero part vector with
+    ``nparts`` parts — a bisection here, a direct k-way run in
+    :mod:`repro.core.kway`.  The choice is recorded in ``details``.
+    """
     best_parts: np.ndarray | None = None
     best_key: tuple | None = None
     for name in ("rownet", "colnet"):
-        model = _build_model(matrix, name)
-        parts = _partition_model(model, eps, cfg, rng, max_weights)
+        parts = partition_model(_build_model(matrix, name))
         key = (
             communication_volume(matrix, parts),
-            max_part_size(matrix, parts, 2),
+            max_part_size(matrix, parts, nparts),
         )
         if best_key is None or key < best_key:
             best_parts, best_key = parts, key

@@ -174,17 +174,6 @@ def iterative_refine(
         raise PartitioningError(
             f"start_direction must be 0 or 1, got {start_direction}"
         )
-    if k > 2:
-        return _kway_iterative_refine(
-            matrix, parts, k, eps, cfg, rng,
-            max_weights=max_weights,
-            max_iterations=max_iterations,
-            start_direction=start_direction,
-            alternate=alternate,
-            backend=backend,
-            initial_volume=initial_volume,
-            deadline=deadline,
-        )
     if k == 1:
         trace = RefinementTrace(converged=True)
         trace.volumes = [
@@ -195,95 +184,21 @@ def iterative_refine(
         return parts, trace
     if max_weights is None:
         check_eps(eps)
-        ceiling = max_allowed_part_size(matrix.nnz, 2, eps)
-        max_weights = (ceiling, ceiling)
-
-    if backend is None:
-        backend = resolve_backend(cfg.kernel_backend)
-    trace = RefinementTrace()
-    if initial_volume is None:
-        initial_volume = communication_volume(matrix, parts)
-    volumes = [int(initial_volume)]
-    direction = start_direction
-    k = 1
-    while k <= max_iterations:
-        if deadline is not None and deadline.expired():
-            trace.degraded = Degraded(
-                "iterate", completed=k - 1,
-                skipped=max_iterations - (k - 1),
-            )
-            break
-        split = split_from_bipartition(matrix, parts, direction)
-        instance = build_medium_grain(split)
-        vparts = instance.vertex_parts_from_nonzero(parts)
-        result = fm_refine(
-            instance.hypergraph, vparts, max_weights, cfg, rng,
-            backend=backend, deadline=deadline,
+        ceiling = max_allowed_part_size(matrix.nnz, k, eps)
+        max_weights = (
+            (ceiling, ceiling) if k == 2
+            else np.full(k, ceiling, dtype=np.int64)
         )
-        parts = instance.nonzero_parts(result.parts)
-        vk = communication_volume(matrix, parts)
-        volumes.append(vk)
-        trace.directions.append(direction)
-        if vk == volumes[k - 1]:
-            if not alternate:
-                trace.converged = True
-                k += 1
-                break
-            direction = 1 - direction
-        if k > 1 and vk == volumes[k - 2]:
-            trace.converged = True
-            k += 1
-            break
-        k += 1
-
-    trace.volumes = volumes
-    trace.iterations = len(trace.directions)
-    return parts, trace
-
-
-def _kway_iterative_refine(
-    matrix: SparseMatrix,
-    parts: np.ndarray,
-    nparts: int,
-    eps: float,
-    cfg: PartitionerConfig,
-    rng: np.random.Generator,
-    *,
-    max_weights,
-    max_iterations: int,
-    start_direction: int,
-    alternate: bool,
-    backend: KernelBackend | None,
-    initial_volume: int | None,
-    deadline: Deadline | None = None,
-) -> tuple[np.ndarray, RefinementTrace]:
-    """The ``nparts > 2`` body of :func:`iterative_refine` (keep-best
-    alternation over majority re-encodings; see its docstring)."""
-    if max_weights is None:
-        check_eps(eps)
-        ceiling = max_allowed_part_size(matrix.nnz, nparts, eps)
-        ceilings = np.full(nparts, ceiling, dtype=np.int64)
-    else:
-        ceilings = np.ascontiguousarray(max_weights, dtype=np.int64)
-        if ceilings.shape != (nparts,):
-            raise PartitioningError(
-                f"max_weights must have length {nparts}, "
-                f"got shape {ceilings.shape}"
-            )
+    steps = _TwoWaySteps(max_weights) if k == 2 else _KWaySteps(k, max_weights)
     if backend is None:
         backend = resolve_backend(cfg.kernel_backend)
-    trace = RefinementTrace()
     if initial_volume is None:
         initial_volume = communication_volume(matrix, parts)
 
-    def _feasible(p: np.ndarray) -> bool:
-        return bool(
-            (np.bincount(p, minlength=nparts) <= ceilings).all()
-        )
-
+    trace = RefinementTrace()
     volumes = [int(initial_volume)]
     best = parts
-    best_feasible = _feasible(parts)
+    best_feasible = steps.keep_best and steps.feasible(best)
     direction = start_direction
     k = 1
     while k <= max_iterations:
@@ -293,32 +208,25 @@ def _kway_iterative_refine(
                 skipped=max_iterations - (k - 1),
             )
             break
-        split = split_from_kway(matrix, best, direction, nparts=nparts)
-        instance = build_medium_grain(split)
-        vparts = instance.vertex_parts_majority(best, nparts)
-        result = kway_refine(
-            instance.hypergraph, vparts, nparts, ceilings, cfg, rng,
-            backend=backend, deadline=deadline,
+        instance, vparts = steps.encode(matrix, best, direction)
+        result = steps.refine(
+            instance.hypergraph, vparts, cfg, rng, backend, deadline
         )
         cand = instance.nonzero_parts(result.parts)
-        vol = communication_volume(matrix, cand)
-        # The majority lift may not reproduce ``best`` exactly, so an
-        # iteration can regress — in volume OR in balance (an infeasible
-        # encoding the FM pass failed to rebalance comes back with its
-        # low volume intact).  Keep-best is therefore *lexicographic*,
-        # balance first: a feasible candidate always replaces an
-        # infeasible best (even at higher volume — restoring eqn (1) is
-        # worth volume, the same priority the FM pass itself applies),
-        # and within equal feasibility only a strictly lower volume
-        # wins.  The traced sequence is monotone non-increasing except
-        # for at most one jump, when feasibility is first restored.
-        cand_feasible = _feasible(cand)
-        if (cand_feasible, -vol) > (best_feasible, -volumes[k - 1]):
-            best = cand
-            best_feasible = cand_feasible
-            vk = vol
+        vk = communication_volume(matrix, cand)
+        if steps.keep_best:
+            # Balance first: a feasible candidate always replaces an
+            # infeasible best (even at higher volume — restoring eqn (1)
+            # is worth volume, the same priority the FM pass itself
+            # applies); within equal feasibility only a strictly lower
+            # volume wins.
+            cand_feasible = steps.feasible(cand)
+            if (cand_feasible, -vk) > (best_feasible, -volumes[k - 1]):
+                best, best_feasible = cand, cand_feasible
+            else:
+                vk = volumes[k - 1]
         else:
-            vk = volumes[k - 1]
+            best = cand
         volumes.append(vk)
         trace.directions.append(direction)
         if vk == volumes[k - 1]:
@@ -336,6 +244,60 @@ def _kway_iterative_refine(
     trace.volumes = volumes
     trace.iterations = len(trace.directions)
     return best, trace
+
+
+class _TwoWaySteps:
+    """Algorithm 2 as published: an exact re-encoding, 2-way FM, and
+    each iteration's result kept (FM never raises the volume)."""
+
+    keep_best = False
+
+    def __init__(self, max_weights) -> None:
+        self.max_weights = max_weights
+
+    def encode(self, matrix: SparseMatrix, parts: np.ndarray, direction: int):
+        split = split_from_bipartition(matrix, parts, direction)
+        instance = build_medium_grain(split)
+        return instance, instance.vertex_parts_from_nonzero(parts)
+
+    def refine(self, h, vparts, cfg, rng, backend, deadline):
+        return fm_refine(
+            h, vparts, self.max_weights, cfg, rng,
+            backend=backend, deadline=deadline,
+        )
+
+
+class _KWaySteps:
+    """The k-way generalization: a majority re-encoding, which may not
+    reproduce the incumbent exactly — an iteration can regress in volume
+    or balance — so the best result is kept."""
+
+    keep_best = True
+
+    def __init__(self, nparts: int, max_weights) -> None:
+        self.nparts = nparts
+        self.ceilings = np.ascontiguousarray(max_weights, dtype=np.int64)
+        if self.ceilings.shape != (nparts,):
+            raise PartitioningError(
+                f"max_weights must have length {nparts}, "
+                f"got shape {self.ceilings.shape}"
+            )
+
+    def encode(self, matrix: SparseMatrix, parts: np.ndarray, direction: int):
+        split = split_from_kway(matrix, parts, direction, nparts=self.nparts)
+        instance = build_medium_grain(split)
+        return instance, instance.vertex_parts_majority(parts, self.nparts)
+
+    def refine(self, h, vparts, cfg, rng, backend, deadline):
+        return kway_refine(
+            h, vparts, self.nparts, self.ceilings, cfg, rng,
+            backend=backend, deadline=deadline,
+        )
+
+    def feasible(self, parts: np.ndarray) -> bool:
+        return bool(
+            (np.bincount(parts, minlength=self.nparts) <= self.ceilings).all()
+        )
 
 
 def vcycle_refine_bipartition(

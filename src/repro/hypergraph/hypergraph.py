@@ -54,7 +54,10 @@ class Hypergraph:
         coarsener whose outputs are valid by construction).
     """
 
-    __slots__ = ("nverts", "nnets", "xpins", "pins", "vwgt", "ncost", "_cache")
+    __slots__ = (
+        "nverts", "nnets", "xpins", "pins", "vwgt", "ncost", "_cache",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -123,6 +126,18 @@ class Hypergraph:
         self.vwgt = _readonly(vwgt)
         self.ncost = _readonly(ncost)
         self._cache: dict = {}
+
+    # Pickles carry the topology only: the cache is derived data, and the
+    # kernel state cached in it refers back to this object weakly.
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__[:6]}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                value = _readonly(value)
+            setattr(self, name, value)
+        self._cache = {}
 
     # ------------------------------------------------------------------ #
     # Construction helpers

@@ -26,6 +26,8 @@ hypergraph instead of once per call.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
@@ -43,7 +45,7 @@ class FMPassState:
     """
 
     __slots__ = (
-        "h",
+        "_href",
         "backend_name",
         "max_gain",
         "nbuckets",
@@ -55,7 +57,10 @@ class FMPassState:
     )
 
     def __init__(self, h: Hypergraph, backend_name: str) -> None:
-        self.h = h
+        # A weak reference: the state is cached on ``h`` itself, and a
+        # strong back-reference would make every hypergraph (and its
+        # list mirrors) wait for the cyclic garbage collector.
+        self._href = weakref.ref(h)
         self.backend_name = backend_name
         self.max_gain = h.max_vertex_net_cost()
         self.nbuckets = 2 * self.max_gain + 1
@@ -68,6 +73,11 @@ class FMPassState:
         #: k-way bucket/move scratch (built on demand, see
         #: :meth:`kway_arrays`).
         self.kway: dict | None = None
+
+    @property
+    def h(self) -> Hypergraph:
+        """The hypergraph this state belongs to."""
+        return self._href()
 
     # ------------------------------------------------------------------ #
     @classmethod

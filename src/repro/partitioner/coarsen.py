@@ -166,12 +166,15 @@ def coarsen_level(
     rng: np.random.Generator,
     max_cluster_weight: int,
     backend: KernelBackend | None = None,
+    restrict_parts: np.ndarray | None = None,
 ) -> CoarseLevel:
-    """Run one matching + contraction step."""
+    """Run one matching + contraction step (restricted to same-part
+    pairs when ``restrict_parts`` is given, see :func:`match_vertices`)."""
     if backend is None:
         backend = resolve_backend(config.kernel_backend)
     match = match_vertices(
-        h, config, rng, max_cluster_weight, backend=backend
+        h, config, rng, max_cluster_weight,
+        restrict_parts=restrict_parts, backend=backend,
     )
     cmap, coarse = contract(
         h,

@@ -20,6 +20,10 @@ pass schedule, and delegates each pass to the selected kernel backend
 (``PartitionerConfig.kernel_backend``), reusing one
 :class:`~repro.kernels.state.FMPassState` per hypergraph so repeated
 refinement calls pay the array-to-list conversions only once.
+
+:func:`fm_refine` (two parts, cut-net gains) and :func:`kway_refine`
+(k parts, connectivity-λ gains) are validation fronts over one pass
+schedule, :func:`_pass_loop`, and return the same :class:`FMResult`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "fm_refine",
     "FMResult",
     "kway_refine",
-    "KWayFMResult",
     "kway_rebalance",
 ]
 
@@ -66,14 +69,15 @@ _FM_GAIN = _metrics.counter(
 
 @dataclass
 class FMResult:
-    """Outcome of an FM refinement call.
+    """Outcome of an FM refinement call (2-way or k-way).
 
     Attributes
     ----------
     parts:
-        Refined part vector (int64, values 0/1).
+        Refined part vector (int64, ids in ``[0, nparts)``).
     cut:
-        Cut-net cost of ``parts``.
+        Connectivity-(λ−1) cost of ``parts`` (for two parts: the cut-net
+        cost).
     feasible:
         Whether ``parts`` satisfies the weight ceilings.
     passes:
@@ -144,89 +148,21 @@ def fm_refine(
     """
     cfg = get_config(config)
     kb = resolve_backend(backend if backend is not None else cfg.kernel_backend)
-    parts = np.asarray(parts)
-    if parts.shape != (h.nverts,):
-        raise PartitioningError(
-            f"parts must have shape ({h.nverts},), got {parts.shape}"
-        )
-    if state is None:
-        state = kb.fm_state(h)
-    elif state.h is not h:
-        raise PartitioningError(
-            "FMPassState belongs to a different hypergraph"
-        )
-    rng = as_generator(seed)
-    parts = parts.astype(np.int64, copy=True)
-    if h.nverts and (parts.min() < 0 or parts.max() > 1):
-        raise PartitioningError("fm_refine expects a 0/1 part vector")
+    parts, state, rng = _prepare(
+        h, parts, 2, kb, state, seed, "fm_refine expects a 0/1 part vector"
+    )
     maxw = (int(max_weights[0]), int(max_weights[1]))
     if h.total_weight() > maxw[0] + maxw[1]:
         raise PartitioningError(
             f"total weight {h.total_weight()} exceeds combined ceilings "
             f"{maxw[0]} + {maxw[1]}: no feasible bipartitioning exists"
         )
-
-    passes_budget = max_passes if max_passes is not None else cfg.fm_max_passes
-    cut = connectivity_volume(h, parts)
-    total_delta = 0
-    passes_run = 0
-    feasible = _is_feasible(h, parts, maxw)
-    degraded = None
-    for _ in range(passes_budget):
-        if deadline is not None and deadline.expired():
-            degraded = Degraded(
-                "fm", completed=passes_run,
-                skipped=passes_budget - passes_run,
-            )
-            _trace.event("deadline", where="fm", completed=passes_run)
-            break
-        started_feasible = feasible
-        before = parts.copy()
-        with _trace.span("fm.pass") as sp:
-            delta, feasible = kb.fm_pass(state, parts, maxw, cfg, rng)
-            moved = int(np.count_nonzero(parts != before))
-            sp.set(delta=delta, moved=moved)
-        passes_run += 1
-        total_delta += delta
-        _FM_PASSES.labels(kind="bi").inc()
-        _FM_MOVES.labels(kind="bi").inc(moved)
-        if delta > 0:
-            _FM_GAIN.labels(kind="bi").inc(delta)
-        # Stop once a pass that started from a feasible state no longer
-        # reduces the cut; a rebalancing pass (infeasible start) may have
-        # delta <= 0 yet unlock further improvement, so it never stops us.
-        if started_feasible and delta <= 0:
-            break
-    return FMResult(
-        parts=parts,
-        cut=cut - total_delta,
-        feasible=feasible,
-        passes=passes_run,
-        improvement=total_delta,
-        degraded=degraded,
+    return _pass_loop(
+        h, parts, _parts_feasible(h, parts, 2, np.array(maxw)),
+        max_passes if max_passes is not None else cfg.fm_max_passes,
+        deadline, "bi",
+        lambda p: kb.fm_pass(state, p, maxw, cfg, rng),
     )
-
-
-def _is_feasible(h: Hypergraph, parts: np.ndarray, maxw: tuple[int, int]) -> bool:
-    w1 = int(np.dot(parts, h.vwgt))
-    w0 = h.total_weight() - w1
-    return w0 <= maxw[0] and w1 <= maxw[1]
-
-
-@dataclass
-class KWayFMResult:
-    """Outcome of a k-way FM refinement call.
-
-    Attributes mirror :class:`FMResult`; ``cut`` is the
-    connectivity-(λ−1) cost the k-way pass optimizes directly.
-    """
-
-    parts: np.ndarray
-    cut: int
-    feasible: bool
-    passes: int
-    improvement: int
-    degraded: Degraded | None = None
 
 
 def kway_refine(
@@ -241,7 +177,7 @@ def kway_refine(
     backend: KernelBackend | str | None = None,
     state: FMPassState | None = None,
     deadline: Deadline | None = None,
-) -> KWayFMResult:
+) -> FMResult:
     """Refine a k-way partitioning of ``h`` with repeated k-way FM passes.
 
     The direct k-way counterpart of :func:`fm_refine`: each pass
@@ -262,28 +198,11 @@ def kway_refine(
         raise PartitioningError(
             f"kway_refine needs nparts >= 2, got {nparts}"
         )
-    parts = np.asarray(parts)
-    if parts.shape != (h.nverts,):
-        raise PartitioningError(
-            f"parts must have shape ({h.nverts},), got {parts.shape}"
-        )
-    if state is None:
-        state = kb.fm_state(h)
-    elif state.h is not h:
-        raise PartitioningError(
-            "FMPassState belongs to a different hypergraph"
-        )
-    rng = as_generator(seed)
-    parts = parts.astype(np.int64, copy=True)
-    if h.nverts and (parts.min() < 0 or parts.max() >= nparts):
-        raise PartitioningError(
-            f"kway_refine expects part ids in [0, {nparts})"
-        )
-    ceilings = np.ascontiguousarray(ceilings, dtype=np.int64)
-    if ceilings.shape != (nparts,):
-        raise PartitioningError(
-            f"ceilings must have shape ({nparts},), got {ceilings.shape}"
-        )
+    parts, state, rng = _prepare(
+        h, parts, nparts, kb, state, seed,
+        f"kway_refine expects part ids in [0, {nparts})",
+    )
+    ceilings = _check_ceilings(ceilings, nparts)
     if ceilings.size and int(ceilings.min()) < 0:
         raise PartitioningError("ceilings must be non-negative")
     if h.total_weight() > int(ceilings.sum()):
@@ -291,51 +210,126 @@ def kway_refine(
             f"total weight {h.total_weight()} exceeds combined ceilings "
             f"{int(ceilings.sum())}: no feasible partitioning exists"
         )
+    # The FM pass rebalances with *single* forced moves; when every
+    # single move off an overweight part would blow another ceiling
+    # (coarse V-cycle levels: few, heavy vertices against snug
+    # ceilings) the pass cannot make progress.  The swap-capable
+    # rebalancer covers exactly that case — and it never touches a
+    # feasible input, so the fast path is unchanged.
+    kway_rebalance(h, parts, nparts, ceilings)
+    return _pass_loop(
+        h, parts, _parts_feasible(h, parts, nparts, ceilings),
+        max_passes if max_passes is not None else cfg.fm_max_passes,
+        deadline, "kway",
+        lambda p: kb.kway_fm_pass(state, p, nparts, ceilings, cfg, rng),
+    )
 
-    passes_budget = max_passes if max_passes is not None else cfg.fm_max_passes
+
+def _prepare(
+    h: Hypergraph,
+    parts: np.ndarray,
+    nparts: int,
+    kb: KernelBackend,
+    state: FMPassState | None,
+    seed: SeedLike,
+    range_error: str,
+) -> tuple[np.ndarray, FMPassState, np.random.Generator]:
+    """Validate a refinement call's inputs; returns a private int64 copy
+    of ``parts``, the pass state for ``h``, and the RNG."""
+    parts = _check_parts(h, parts, nparts, range_error)
+    if state is None:
+        state = kb.fm_state(h)
+    elif state.h is not h:
+        raise PartitioningError(
+            "FMPassState belongs to a different hypergraph"
+        )
+    return parts, state, as_generator(seed)
+
+
+def _check_parts(
+    h: Hypergraph, parts: np.ndarray, nparts: int, range_error: str
+) -> np.ndarray:
+    """A private int64 copy of ``parts``: one id in ``[0, nparts)`` per
+    vertex of ``h``."""
+    parts = np.asarray(parts)
+    if parts.shape != (h.nverts,):
+        raise PartitioningError(
+            f"parts must have shape ({h.nverts},), got {parts.shape}"
+        )
+    parts = parts.astype(np.int64, copy=True)
+    if h.nverts and (parts.min() < 0 or parts.max() >= nparts):
+        raise PartitioningError(range_error)
+    return parts
+
+
+def _check_ceilings(ceilings, nparts: int) -> np.ndarray:
+    """``ceilings`` as a contiguous int64 array of length ``nparts``."""
+    ceilings = np.ascontiguousarray(ceilings, dtype=np.int64)
+    if ceilings.shape != (nparts,):
+        raise PartitioningError(
+            f"ceilings must have shape ({nparts},), got {ceilings.shape}"
+        )
+    return ceilings
+
+
+def _parts_feasible(
+    h: Hypergraph, parts: np.ndarray, nparts: int, ceilings
+) -> bool:
+    """Do the per-part weights of ``parts`` satisfy every ceiling?"""
+    return bool(
+        np.all(part_weights(h, parts, nparts) <= np.asarray(ceilings))
+    )
+
+
+# Per-kind labels of the pass loop: the ``Degraded``/event ``where`` and
+# the span name of one pass.
+_PASS_LABELS = {"bi": ("fm", "fm.pass"), "kway": ("kway-fm", "kway_fm.pass")}
+
+
+def _pass_loop(
+    h: Hypergraph,
+    parts: np.ndarray,
+    feasible: bool,
+    budget: int,
+    deadline: Deadline | None,
+    kind: str,
+    one_pass,
+) -> FMResult:
+    """Run FM passes on ``parts`` (in place) until one stops paying.
+
+    ``one_pass(parts)`` runs one kernel pass and returns ``(delta,
+    feasible)``.  The schedule is shared by both arities: stop once a
+    pass that started from a feasible state no longer reduces the cut —
+    a rebalancing pass (infeasible start) may have ``delta <= 0`` yet
+    unlock further improvement, so it never stops the loop.
+    """
+    where, span_name = _PASS_LABELS[kind]
     cut = connectivity_volume(h, parts)
     total_delta = 0
     passes_run = 0
-    feasible = bool(np.all(part_weights(h, parts, nparts) <= ceilings))
-    if not feasible:
-        # The FM pass rebalances with *single* forced moves; when every
-        # single move off an overweight part would blow another ceiling
-        # (coarse V-cycle levels: few, heavy vertices against snug
-        # ceilings) the pass cannot make progress.  The swap-capable
-        # rebalancer covers exactly that case — and it never touches a
-        # feasible input, so the fast path is unchanged.
-        kway_rebalance(h, parts, nparts, ceilings)
-        cut = connectivity_volume(h, parts)
-        feasible = bool(np.all(part_weights(h, parts, nparts) <= ceilings))
     degraded = None
-    for _ in range(passes_budget):
+    for _ in range(budget):
         if deadline is not None and deadline.expired():
             degraded = Degraded(
-                "kway-fm", completed=passes_run,
-                skipped=passes_budget - passes_run,
+                where, completed=passes_run, skipped=budget - passes_run,
             )
-            _trace.event("deadline", where="kway-fm", completed=passes_run)
+            _trace.event("deadline", where=where, completed=passes_run)
             break
         started_feasible = feasible
         before = parts.copy()
-        with _trace.span("kway_fm.pass") as sp:
-            delta, feasible = kb.kway_fm_pass(
-                state, parts, nparts, ceilings, cfg, rng
-            )
+        with _trace.span(span_name) as sp:
+            delta, feasible = one_pass(parts)
             moved = int(np.count_nonzero(parts != before))
             sp.set(delta=delta, moved=moved)
         passes_run += 1
         total_delta += delta
-        _FM_PASSES.labels(kind="kway").inc()
-        _FM_MOVES.labels(kind="kway").inc(moved)
+        _FM_PASSES.labels(kind=kind).inc()
+        _FM_MOVES.labels(kind=kind).inc(moved)
         if delta > 0:
-            _FM_GAIN.labels(kind="kway").inc(delta)
-        # Same stopping rule as fm_refine: a feasible-start pass that no
-        # longer reduces the cut ends the call; a rebalancing pass never
-        # does.
+            _FM_GAIN.labels(kind=kind).inc(delta)
         if started_feasible and delta <= 0:
             break
-    return KWayFMResult(
+    return FMResult(
         parts=parts,
         cut=cut - total_delta,
         feasible=feasible,

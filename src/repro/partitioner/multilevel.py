@@ -1,9 +1,25 @@
-"""The multilevel V-cycle driver.
+"""The multilevel engine: one coarsen → solve → refine-up driver.
 
 Coarsen until the hypergraph is small (or matching stalls), partition the
-coarsest level with best-of-many construction + FM, then project the
-partition back up level by level, refining with FM at each level — the
-scheme shared by Mondriaan, PaToH, hMetis, and MLpart (paper Section II).
+coarsest level, then project the partition back up level by level,
+refining at each level — the scheme shared by Mondriaan, PaToH, hMetis,
+and MLpart (paper Section II).
+
+One driver, :func:`run_multilevel`, serves both arities and both uses:
+
+* **construction** (no input partitioning): unrestricted coarsening, the
+  coarsest level solved from scratch — :func:`multilevel_bipartition`
+  and :func:`multilevel_kway`;
+* **V-cycle** (an input partitioning): coarsening restricted to
+  same-part merges, so the input projects exactly to every level and
+  the coarsest level is solved by refining that projection —
+  :mod:`repro.partitioner.vcycle`.
+
+Everything that differs between two parts and k parts lives in a small
+*refiner* object, :class:`Bisection` or :class:`KWay`: the per-level FM
+variant, the coarsest-level construction, the cluster cap and coarse
+target, the per-level pass budget, the span and metric labels, and the
+rule that decides whether a V-cycle's result replaces the incumbent.
 """
 
 from __future__ import annotations
@@ -22,7 +38,8 @@ from repro.partitioner.coarsen import CoarseLevel, coarsen_level
 from repro.partitioner.config import PartitionerConfig, get_config
 from repro.partitioner.fm import (
     FMResult,
-    KWayFMResult,
+    _check_ceilings,
+    _parts_feasible,
     fm_refine,
     kway_rebalance,
     kway_refine,
@@ -36,6 +53,10 @@ from repro.utils.deadline import Deadline, Degraded
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
+    "Bisection",
+    "KWay",
+    "MultilevelRun",
+    "run_multilevel",
     "multilevel_bipartition",
     "multilevel_kway",
     "recursive_kway_parts",
@@ -48,6 +69,301 @@ _COARSEN_LEVELS = _metrics.counter(
     "Coarsening levels built by the multilevel engines",
     ("engine",),
 )
+
+
+class Bisection:
+    """Refiner for two parts under per-side ceilings ``max_weights``.
+
+    FM with cut-net gains (:func:`~repro.partitioner.fm.fm_refine`) at
+    every level, the best-of-``n_initial`` construction
+    (:func:`~repro.partitioner.initial.initial_partition`) at the
+    coarsest, and a V-cycle that keeps each cycle's result and stops at
+    the first cycle that does not lower the cut.
+
+    The class attributes and methods below are the refiner protocol
+    :func:`run_multilevel` and the V-cycle loop rely on.
+    """
+
+    kind = "bi"  # metric label
+    label = "multilevel"  # span prefix
+    keep_best = False
+    cap_divisor = 1  # of the cluster cap when constructing
+    coarse_floor = 0  # construction coarsens to max(coarse_target, this)
+    level_passes = (None, None)  # (intermediate, finest); None = config's
+
+    def __init__(self, max_weights: tuple[int, int]) -> None:
+        self.max_weights = max_weights
+        self.min_ceiling = min(max_weights[0], max_weights[1])
+
+    def refine(self, h, parts, cfg, rng, backend, deadline=None,
+               max_passes=None) -> FMResult:
+        """FM-refine ``parts`` on ``h``."""
+        return fm_refine(
+            h, parts, self.max_weights, cfg, rng, max_passes,
+            backend=backend, deadline=deadline,
+        )
+
+    def solve(self, h, cfg, rng, backend, deadline):
+        """Partition the coarsest level from scratch; returns the
+        :class:`FMResult` and whether a deadline cut the solve short."""
+        with _trace.span("multilevel.initial"):
+            result = initial_partition(
+                h, self.max_weights, cfg, rng, backend=backend
+            )
+        return result, False
+
+    def feasible(self, h: Hypergraph, parts: np.ndarray) -> bool:
+        """Do the part weights of ``parts`` fit the ceilings?"""
+        return _parts_feasible(h, parts, 2, self.max_weights)
+
+    def can_cycle(self, h: Hypergraph) -> bool:
+        """Is there anything for a V-cycle on ``h`` to do?"""
+        return True
+
+    def verdict(self, cand: tuple, best: tuple) -> tuple[bool, bool]:
+        """``(take, go_on)`` for a V-cycle candidate; keys are
+        ``(feasible, -cut)``.  Always take it; go on while the cut
+        drops."""
+        return True, cand[1] > best[1]
+
+
+class KWay:
+    """Refiner for ``nparts`` parts under per-part ``ceilings``.
+
+    k-way FM with connectivity-λ gains
+    (:func:`~repro.partitioner.fm.kway_refine`) at every level, ranked
+    construction candidates plus the swap-capable weight repair at the
+    coarsest, and a keep-best V-cycle.  Constructing, it clusters more
+    finely than bisection (a quarter of the cap, at least 8 coarsest
+    vertices per part, or the coarsest level cannot place k boundaries
+    anywhere useful) and gives intermediate levels one FM pass, the
+    finest two: the hierarchy itself revisits every vertex at each of
+    the O(log n) levels, so extra same-level passes buy little cut for
+    a lot of time.
+    """
+
+    kind = "kway"
+    label = "multilevel_kway"
+    keep_best = True
+    cap_divisor = 4
+    level_passes = (1, 2)
+
+    def __init__(self, nparts: int, ceilings: np.ndarray) -> None:
+        self.nparts = nparts
+        self.ceilings = ceilings
+        self.min_ceiling = int(ceilings.min())
+        self.coarse_floor = 8 * nparts
+
+    def refine(self, h, parts, cfg, rng, backend, deadline=None,
+               max_passes=None) -> FMResult:
+        """k-way-FM-refine ``parts`` on ``h``."""
+        return kway_refine(
+            h, parts, self.nparts, self.ceilings, cfg, rng, max_passes,
+            backend=backend, deadline=deadline,
+        )
+
+    def solve(self, h, cfg, rng, backend, deadline):
+        """Coarsest-level construction: one recursive-bisection candidate
+        (hierarchically nested boundaries — the quality anchor) plus
+        cheap restarts alternating net growing (topology — connected,
+        low-cut parts) and the weight-only greedy spread (balance — fits
+        snug ceilings the others can overshoot), ranked by (overshoot,
+        cut) *after* the swap-capable weight repair — a topology-aware
+        candidate a few percent overweight almost always beats a
+        balanced-but-scattered one once repaired, so ranking raw
+        overshoot first would throw the best cuts away.  The coarsest
+        level is small, so repairing and scoring every candidate's exact
+        connectivity cut is cheap.  An expired ``deadline`` keeps the
+        best candidate so far (or one greedy spread)."""
+        nparts, ceilings = self.nparts, self.ceilings
+        cut_short = False
+        best: np.ndarray | None = None
+        best_key: tuple | None = None
+        initial_span = _trace.span("multilevel_kway.initial")
+        for attempt in range(max(2, cfg.n_initial)):
+            if deadline is not None and deadline.expired():
+                cut_short = True
+                if best is None:
+                    # Never return empty-handed: the weight-only greedy
+                    # spread is near-instant and always yields a
+                    # complete assignment; the repair keeps it as
+                    # balanced as single moves and swaps can.
+                    best = greedy_kway_vertex_parts(h, nparts, ceilings, rng)
+                    kway_rebalance(h, best, nparts, ceilings)
+                break
+            if attempt == 0:
+                cand = recursive_kway_parts(
+                    h, nparts, ceilings, cfg, rng, backend=backend
+                )
+            elif attempt % 2 == 1:
+                cand = greedy_kway_grow(h, nparts, ceilings, rng)
+            else:
+                cand = greedy_kway_vertex_parts(
+                    h, nparts, ceilings, rng,
+                    strategy="balance" if (attempt // 2) % 2 == 1 else "pack",
+                )
+            kway_rebalance(h, cand, nparts, ceilings)
+            over = int(
+                (part_weights(h, cand, nparts) - ceilings).max(initial=0)
+            )
+            key = (over, connectivity_volume(h, cand))
+            if best_key is None or key < best_key:
+                best, best_key = cand, key
+        initial_span.end()
+        assert best is not None
+        with _trace.span("multilevel_kway.coarsest_refine"):
+            result = self.refine(h, best, cfg, rng, backend, deadline)
+        return result, cut_short or result.degraded is not None
+
+    def feasible(self, h: Hypergraph, parts: np.ndarray) -> bool:
+        """Do the part weights of ``parts`` fit the ceilings?"""
+        return _parts_feasible(h, parts, self.nparts, self.ceilings)
+
+    def can_cycle(self, h: Hypergraph) -> bool:
+        """Two or more parts, a nonempty ``h``, and a total weight the
+        ceilings can hold (no sequence of moves repairs more)."""
+        return (
+            self.nparts >= 2
+            and h.nverts > 0
+            and h.total_weight() <= int(self.ceilings.sum())
+        )
+
+    def verdict(self, cand: tuple, best: tuple) -> tuple[bool, bool]:
+        """Keep-best: take the candidate and go on only when it wins the
+        lexicographic ``(feasible, -cut)`` order."""
+        better = cand > best
+        return better, better
+
+
+@dataclasses.dataclass
+class MultilevelRun:
+    """Outcome of one :func:`run_multilevel` call.
+
+    ``result`` is the last refinement's :class:`FMResult` — it describes
+    a coarser level than ``parts`` when a deadline skipped the finest
+    refinements.  ``refined``/``skipped`` count uncoarsening levels;
+    ``cut_short`` is set when coarsening or the coarsest-level solve
+    stopped at a deadline.
+    """
+
+    parts: np.ndarray
+    result: FMResult
+    refined: int
+    skipped: int
+    cut_short: bool
+
+
+def _span(label: str | None, stage: str, **attrs):
+    return (
+        _trace.span(f"{label}.{stage}", **attrs) if label else _trace.NULL_SPAN
+    )
+
+
+def run_multilevel(
+    h: Hypergraph,
+    refiner: Bisection | KWay,
+    cfg: PartitionerConfig,
+    rng: np.random.Generator,
+    backend: KernelBackend,
+    deadline: Deadline | None = None,
+    parts: np.ndarray | None = None,
+) -> MultilevelRun:
+    """Coarsen ``h``, solve the coarsest level, project and refine up.
+
+    Without ``parts`` this is a construction: unrestricted matching down
+    to ``max(coarse_target, refiner.coarse_floor)`` vertices, clusters
+    capped at ``cluster_weight_frac`` of the minimum ceiling divided by
+    ``refiner.cap_divisor``, the coarsest level solved by
+    ``refiner.solve``, ``refiner.level_passes`` FM passes per level, and
+    one span per phase.  With ``parts`` it is one V-cycle: matching
+    restricted to same-part pairs (the partitioning projects to every
+    level with an identical cut) down to ``coarse_target``, the
+    undivided cap, the coarsest projection refined instead of solved,
+    the config's full pass budget everywhere, and no phase spans.
+
+    ``deadline`` is checked before each coarsening step and each
+    uncoarsening level: an expiry stops coarsening, and projects the
+    remaining levels *without* refining them — the assignment stays
+    complete and its part weights unchanged; only the polish is lost.
+    """
+    cycle = parts is not None
+    base_cap = int(cfg.cluster_weight_frac * refiner.min_ceiling)
+    if cycle:
+        cap, target = max(1, base_cap), cfg.coarse_target
+        label, level_passes = None, (None, None)
+    else:
+        cap = max(1, base_cap // refiner.cap_divisor)
+        target = max(cfg.coarse_target, refiner.coarse_floor)
+        label, level_passes = refiner.label, refiner.level_passes
+
+    # ------------------------------------------------------------------ #
+    # Coarsening.
+    # ------------------------------------------------------------------ #
+    cut_short = False
+    levels: list[CoarseLevel] = []
+    cur, cur_parts = h, parts
+    with _span(label, "coarsen") as sp:
+        while cur.nverts > target and len(levels) < cfg.max_levels:
+            if deadline is not None and deadline.expired():
+                cut_short = True
+                _trace.event("deadline", where="coarsen")
+                break  # partition whatever granularity we reached
+            level = coarsen_level(
+                cur, cfg, rng, cap, backend=backend, restrict_parts=cur_parts
+            )
+            # Matching stalled: further levels would be wasted work.  The
+            # two forms are equal in exact arithmetic but round apart at
+            # some ``min_reduction`` values; each path keeps its own.
+            if cycle:
+                stalled = level.coarse.nverts > (
+                    (1.0 - cfg.min_reduction) * cur.nverts
+                )
+            else:
+                stalled = (
+                    1.0 - level.coarse.nverts / cur.nverts < cfg.min_reduction
+                )
+            if stalled:
+                break
+            if cycle:
+                # Constant on clusters by construction.
+                coarse_parts = np.empty(level.coarse.nverts, dtype=np.int64)
+                coarse_parts[level.cmap] = cur_parts
+                cur_parts = coarse_parts
+            levels.append(level)
+            cur = level.coarse
+        sp.set(levels=len(levels), coarse_nverts=cur.nverts)
+    if not cycle:
+        _COARSEN_LEVELS.labels(engine=refiner.kind).inc(len(levels))
+
+    # ------------------------------------------------------------------ #
+    # The coarsest level.
+    # ------------------------------------------------------------------ #
+    if cycle:
+        result = refiner.refine(cur, cur_parts, cfg, rng, backend, deadline)
+    else:
+        result, solve_short = refiner.solve(cur, cfg, rng, backend, deadline)
+        cut_short = cut_short or solve_short
+    parts = result.parts
+
+    # ------------------------------------------------------------------ #
+    # Uncoarsening: project and refine at every level.
+    # ------------------------------------------------------------------ #
+    refined = skipped = 0
+    for i, level in enumerate(reversed(levels)):
+        parts = parts[level.cmap]
+        if deadline is not None and deadline.expired():
+            skipped += 1
+            _trace.event("level_skipped", level=i)
+            continue
+        with _span(label, "uncoarsen_level", level=i,
+                   nverts=level.fine.nverts):
+            result = refiner.refine(
+                level.fine, parts, cfg, rng, backend, deadline,
+                level_passes[i == len(levels) - 1],
+            )
+        parts = result.parts
+        refined += 1
+    return MultilevelRun(parts, result, refined, skipped, cut_short)
 
 
 def multilevel_bipartition(
@@ -68,51 +384,7 @@ def multilevel_bipartition(
     rng = as_generator(seed)
     if backend is None:
         backend = resolve_backend(cfg.kernel_backend)
-
-    # ------------------------------------------------------------------ #
-    # Coarsening phase.
-    # ------------------------------------------------------------------ #
-    # Cap cluster weights so the coarsest level stays partitionable well
-    # within the ceilings.
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * min(max_weights[0], max_weights[1]))
-    )
-    levels: list[CoarseLevel] = []
-    cur = h
-    with _trace.span("multilevel.coarsen") as sp:
-        while cur.nverts > cfg.coarse_target and len(levels) < cfg.max_levels:
-            level = coarsen_level(cur, cfg, rng, cluster_cap, backend=backend)
-            reduction = 1.0 - level.coarse.nverts / cur.nverts
-            if reduction < cfg.min_reduction:
-                break  # matching stalled; further levels would be wasted work
-            levels.append(level)
-            cur = level.coarse
-        sp.set(levels=len(levels), coarse_nverts=cur.nverts)
-    _COARSEN_LEVELS.labels(engine="bi").inc(len(levels))
-
-    # ------------------------------------------------------------------ #
-    # Initial partitioning at the coarsest level.
-    # ------------------------------------------------------------------ #
-    with _trace.span("multilevel.initial"):
-        result = initial_partition(
-            cur, max_weights, cfg, rng, backend=backend
-        )
-    parts = result.parts
-
-    # ------------------------------------------------------------------ #
-    # Uncoarsening: project and refine at every level.
-    # ------------------------------------------------------------------ #
-    for i, level in enumerate(reversed(levels)):
-        parts = parts[level.cmap]
-        with _trace.span("multilevel.uncoarsen_level", level=i):
-            result = fm_refine(
-                level.fine, parts, max_weights, cfg, rng, backend=backend
-            )
-        parts = result.parts
-
-    if not levels:
-        return result
-    return result
+    return run_multilevel(h, Bisection(max_weights), cfg, rng, backend).result
 
 
 def recursive_kway_parts(
@@ -194,7 +466,7 @@ def multilevel_kway(
     seed: SeedLike = None,
     backend: KernelBackend | None = None,
     deadline: Deadline | None = None,
-) -> KWayFMResult:
+) -> FMResult:
     """Partition ``h`` into ``nparts`` parts under per-part ``ceilings``.
 
     The direct k-way analogue of :func:`multilevel_bipartition`: coarsen
@@ -202,12 +474,13 @@ def multilevel_kway(
     ``max(config.coarse_target, 8 * nparts)`` vertices remain (enough
     headroom that the coarsest level stays k-way partitionable), build
     the coarsest partitioning from ranked construction candidates
-    (recursive bisection, net growing, greedy spread — see below) plus
-    k-way FM (:func:`~repro.partitioner.fm.kway_refine`), then project
-    up level by level, k-way-refining each.  The connectivity-(λ−1) cut
-    is the objective throughout — no intermediate two-sided proxy.
+    (recursive bisection, net growing, greedy spread — see
+    :meth:`KWay.solve`) plus k-way FM
+    (:func:`~repro.partitioner.fm.kway_refine`), then project up level
+    by level, k-way-refining each.  The connectivity-(λ−1) cut is the
+    objective throughout — no intermediate two-sided proxy.
 
-    Returns a :class:`~repro.partitioner.fm.KWayFMResult` for the finest
+    Returns an :class:`~repro.partitioner.fm.FMResult` for the finest
     level.  Requires ``nparts >= 2`` (``nparts == 1`` has nothing to
     optimize — callers short-circuit it).
 
@@ -225,149 +498,31 @@ def multilevel_kway(
         raise PartitioningError(
             f"multilevel_kway needs nparts >= 2, got {nparts}"
         )
-    ceilings = np.ascontiguousarray(ceilings, dtype=np.int64)
-    if ceilings.shape != (nparts,):
-        raise PartitioningError(
-            f"ceilings must have shape ({nparts},), got {ceilings.shape}"
-        )
+    ceilings = _check_ceilings(ceilings, nparts)
     if backend is None:
         backend = resolve_backend(cfg.kernel_backend)
     if h.nverts == 0:
-        return KWayFMResult(
+        return FMResult(
             parts=np.zeros(0, dtype=np.int64),
             cut=0,
             feasible=True,
             passes=0,
             improvement=0,
         )
-
-    # ------------------------------------------------------------------ #
-    # Coarsening phase (unrestricted — there is no partitioning yet).
-    # Granularity must scale with the part count: the coarsest level
-    # keeps ~8 vertices per part and clusters stay well under the
-    # per-part ceiling (a quarter of the 2-way cap), or the initial
-    # k-way construction cannot place boundaries anywhere useful.
-    # ------------------------------------------------------------------ #
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * int(ceilings.min())) // 4
+    refiner = KWay(nparts, ceilings)
+    run = run_multilevel(h, refiner, cfg, rng, backend, deadline)
+    if not (run.skipped or run.cut_short):
+        return run.result
+    # ``run.result`` may describe a coarser level than ``run.parts`` (a
+    # skipped refinement leaves only the projection); rebuild the
+    # outcome from the finest-level vector with its true cut.
+    return FMResult(
+        parts=run.parts,
+        cut=connectivity_volume(h, run.parts),
+        feasible=refiner.feasible(h, run.parts),
+        passes=run.result.passes,
+        improvement=run.result.improvement,
+        degraded=Degraded(
+            "multilevel", completed=run.refined, skipped=run.skipped
+        ),
     )
-    coarse_target = max(cfg.coarse_target, 8 * nparts)
-    cut_short = False  # any phase stopped at a deadline boundary
-    levels: list[CoarseLevel] = []
-    cur = h
-    with _trace.span("multilevel_kway.coarsen") as sp:
-        while cur.nverts > coarse_target and len(levels) < cfg.max_levels:
-            if deadline is not None and deadline.expired():
-                cut_short = True
-                sp.event("deadline", where="coarsen")
-                break  # partition whatever granularity we reached
-            level = coarsen_level(cur, cfg, rng, cluster_cap, backend=backend)
-            reduction = 1.0 - level.coarse.nverts / cur.nverts
-            if reduction < cfg.min_reduction:
-                break  # matching stalled; further levels would be wasted work
-            levels.append(level)
-            cur = level.coarse
-        sp.set(levels=len(levels), coarse_nverts=cur.nverts)
-    _COARSEN_LEVELS.labels(engine="kway").inc(len(levels))
-
-    # ------------------------------------------------------------------ #
-    # Initial k-way partitioning at the coarsest level: one
-    # recursive-bisection construction (hierarchically nested
-    # boundaries — the quality anchor) plus cheap restarts alternating
-    # net growing (topology — connected, low-cut parts) and the
-    # weight-only greedy spread (balance — fits snug ceilings the
-    # others can overshoot), ranked by (overshoot, cut) *after* the
-    # swap-capable weight repair — a topology-aware candidate a few
-    # percent overweight almost always beats a balanced-but-scattered
-    # one once repaired, so ranking raw overshoot first would throw the
-    # best cuts away.  The coarsest level is small, so repairing and
-    # scoring every candidate's exact connectivity cut is cheap.
-    # ------------------------------------------------------------------ #
-    best: np.ndarray | None = None
-    best_key: tuple | None = None
-    initial_span = _trace.span("multilevel_kway.initial")
-    for attempt in range(max(2, cfg.n_initial)):
-        if deadline is not None and deadline.expired():
-            cut_short = True
-            if best is None:
-                # Never return empty-handed: the weight-only greedy
-                # spread is near-instant and always yields a complete
-                # assignment; the repair keeps it as balanced as single
-                # moves and swaps can.
-                best = greedy_kway_vertex_parts(cur, nparts, ceilings, rng)
-                kway_rebalance(cur, best, nparts, ceilings)
-            break
-        if attempt == 0:
-            cand = recursive_kway_parts(
-                cur, nparts, ceilings, cfg, rng, backend=backend
-            )
-        elif attempt % 2 == 1:
-            cand = greedy_kway_grow(cur, nparts, ceilings, rng)
-        else:
-            cand = greedy_kway_vertex_parts(
-                cur, nparts, ceilings, rng,
-                strategy="balance" if (attempt // 2) % 2 == 1 else "pack",
-            )
-        kway_rebalance(cur, cand, nparts, ceilings)
-        over = int(
-            (part_weights(cur, cand, nparts) - ceilings).max(initial=0)
-        )
-        key = (over, connectivity_volume(cur, cand))
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    initial_span.end()
-    assert best is not None
-    with _trace.span("multilevel_kway.coarsest_refine"):
-        result = kway_refine(
-            cur, best, nparts, ceilings, cfg, rng, backend=backend,
-            deadline=deadline,
-        )
-    parts = result.parts
-    cut_short = cut_short or result.degraded is not None
-
-    # ------------------------------------------------------------------ #
-    # Uncoarsening: project and k-way-refine at every level.  One pass
-    # per intermediate level — the hierarchy itself provides the
-    # repeated refinement (every vertex is revisited at each of the
-    # O(log n) levels), so extra same-level passes buy little cut for a
-    # lot of time; only the finest level gets the full pass budget.
-    # ------------------------------------------------------------------ #
-    refined_levels = 0
-    skipped_levels = 0
-    for i, level in enumerate(reversed(levels)):
-        parts = parts[level.cmap]
-        if deadline is not None and deadline.expired():
-            # Projection alone keeps the assignment complete and its
-            # per-part weights identical — only the per-level polish is
-            # forfeited.
-            skipped_levels += 1
-            _trace.event("level_skipped", level=i)
-            continue
-        finest = i == len(levels) - 1
-        with _trace.span("multilevel_kway.uncoarsen_level", level=i,
-                         nverts=level.fine.nverts):
-            result = kway_refine(
-                level.fine, parts, nparts, ceilings, cfg, rng,
-                max_passes=2 if finest else 1, backend=backend,
-                deadline=deadline,
-            )
-        parts = result.parts
-        refined_levels += 1
-    if skipped_levels or cut_short:
-        # ``result`` may describe a coarser level than ``parts`` (a
-        # skipped refinement leaves only the projection); rebuild the
-        # outcome from the finest-level vector with its true cut.
-        return KWayFMResult(
-            parts=parts,
-            cut=connectivity_volume(h, parts),
-            feasible=bool(
-                np.all(part_weights(h, parts, nparts) <= ceilings)
-            ),
-            passes=result.passes,
-            improvement=result.improvement,
-            degraded=Degraded(
-                "multilevel", completed=refined_levels,
-                skipped=skipped_levels,
-            ),
-        )
-    return result

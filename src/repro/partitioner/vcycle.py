@@ -19,11 +19,14 @@ Like Algorithm 2, the result is monotonically non-increasing in the cut;
 unlike it, a cycle re-coarsens (paying coarsening time) and can move whole
 clusters across the cut at the coarse levels.
 
-:func:`vcycle_refine` is the 2-way engine used inside recursive
-bisection; :func:`kway_vcycle_refine` generalizes the same procedure to
-k parts (restricted matching already only merges vertices with *equal*
-part ids, so it works for arbitrary part vectors unchanged) and refines
-every level with the connectivity-(λ−1) k-way FM pass instead.
+:func:`vcycle_refine` (two parts) and :func:`kway_vcycle_refine` (k
+parts — restricted matching only merges vertices with *equal* part ids,
+so it works for arbitrary part vectors unchanged) are validation fronts
+over one cycle loop.  Each cycle is one run of the multilevel driver
+(:func:`repro.partitioner.multilevel.run_multilevel`) from the
+incumbent, and the arity's refiner decides whether the cycle's result
+replaces it: the 2-way cycles keep every result, the k-way cycles keep
+the best.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ import numpy as np
 
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.metrics import connectivity_volume, part_weights
+from repro.hypergraph.metrics import connectivity_volume
 from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.partitioner.coarsen import contract, match_vertices
 from repro.partitioner.config import PartitionerConfig, get_config
-from repro.partitioner.fm import fm_refine, kway_refine
+from repro.partitioner.fm import _check_ceilings, _check_parts
+from repro.partitioner.multilevel import Bisection, KWay, run_multilevel
 from repro.utils.deadline import Deadline, Degraded
 from repro.utils.rng import SeedLike, as_generator
 
@@ -97,54 +100,20 @@ def vcycle_refine(
 ) -> VCycleResult:
     """Refine a bipartitioning of ``h`` with repeated V-cycles.
 
-    Stops early when a cycle fails to improve the cut.  The input must be
-    a 0/1 part vector; it is not modified.
+    Each cycle's result is kept; the cycles stop early when one fails to
+    improve the cut.  The input must be a 0/1 part vector; it is not
+    modified.
     """
     cfg = get_config(config)
     rng = as_generator(seed)
-    parts = np.asarray(parts)
-    if parts.shape != (h.nverts,):
-        raise PartitioningError(
-            f"parts must have shape ({h.nverts},), got {parts.shape}"
-        )
-    parts = parts.astype(np.int64, copy=True)
-    if h.nverts and (parts.min() < 0 or parts.max() > 1):
-        raise PartitioningError("vcycle_refine expects a 0/1 part vector")
+    parts = _check_parts(
+        h, parts, 2, "vcycle_refine expects a 0/1 part vector"
+    )
     if max_cycles < 0:
         raise PartitioningError("max_cycles must be non-negative")
-
-    backend = resolve_backend(cfg.kernel_backend)
-    cuts = [connectivity_volume(h, parts)]
-    cycles = 0
-    for _ in range(max_cycles):
-        with _trace.span("vcycle.cycle", kind="bi", cycle=cycles):
-            parts = _one_cycle(h, parts, max_weights, cfg, rng, backend)
-        cuts.append(connectivity_volume(h, parts))
-        cycles += 1
-        _VCYCLE_CYCLES.labels(kind="bi").inc()
-        if cuts[-1] >= cuts[-2]:
-            break
-
-    return VCycleResult(
-        parts=parts,
-        cut=cuts[-1],
-        cycles=cycles,
-        cuts=cuts,
-        feasible=_parts_feasible(h, parts, 2, np.asarray(max_weights)),
-    )
-
-
-def _parts_feasible(
-    h: Hypergraph, parts: np.ndarray, nparts: int, ceilings: np.ndarray
-) -> bool:
-    """Do the per-part weights of ``parts`` satisfy every ceiling?
-
-    Arity-generic (``np.bincount`` against per-part ceilings) — the old
-    2-way check hardcoded ``w1 = dot(parts, vwgt)``, which silently
-    mis-reports feasibility for any k > 2 part vector.
-    """
-    return bool(
-        np.all(part_weights(h, parts, nparts) <= np.asarray(ceilings))
+    return _vcycles(
+        h, parts, Bisection(max_weights), cfg, rng,
+        resolve_backend(cfg.kernel_backend), max_cycles,
     )
 
 
@@ -196,37 +165,42 @@ def kway_vcycle_refine(
         raise PartitioningError(
             f"kway_vcycle_refine needs nparts >= 1, got {nparts}"
         )
-    parts = np.asarray(parts)
-    if parts.shape != (h.nverts,):
-        raise PartitioningError(
-            f"parts must have shape ({h.nverts},), got {parts.shape}"
-        )
-    parts = parts.astype(np.int64, copy=True)
-    if h.nverts and (parts.min() < 0 or parts.max() >= nparts):
-        raise PartitioningError(
-            f"kway_vcycle_refine expects part ids in [0, {nparts})"
-        )
-    ceilings = np.ascontiguousarray(ceilings, dtype=np.int64)
-    if ceilings.shape != (nparts,):
-        raise PartitioningError(
-            f"ceilings must have shape ({nparts},), got {ceilings.shape}"
-        )
+    parts = _check_parts(
+        h, parts, nparts,
+        f"kway_vcycle_refine expects part ids in [0, {nparts})",
+    )
+    ceilings = _check_ceilings(ceilings, nparts)
     if max_cycles < 0:
         raise PartitioningError("max_cycles must be non-negative")
     if backend is None:
         backend = resolve_backend(cfg.kernel_backend)
+    return _vcycles(
+        h, parts, KWay(nparts, ceilings), cfg, rng, backend, max_cycles,
+        deadline,
+    )
 
+
+def _vcycles(
+    h: Hypergraph,
+    parts: np.ndarray,
+    refiner: Bisection | KWay,
+    cfg: PartitionerConfig,
+    rng: np.random.Generator,
+    backend: KernelBackend,
+    max_cycles: int,
+    deadline: Deadline | None = None,
+) -> VCycleResult:
+    """Up to ``max_cycles`` restricted-coarsen / refine-up cycles
+    (:func:`~repro.partitioner.multilevel.run_multilevel` from the
+    incumbent); ``refiner.verdict`` decides whether each cycle's result
+    replaces the incumbent and whether to run another cycle."""
     best = parts
     best_cut = connectivity_volume(h, best)
-    best_feasible = _parts_feasible(h, best, nparts, ceilings)
+    best_feasible = refiner.feasible(h, best)
     cuts = [best_cut]
     cycles = 0
-    # A total weight above the combined ceilings is unrepairable by any
-    # sequence of moves: skip the cycles (kway_refine would refuse the
-    # state anyway) and report the input truthfully infeasible.
-    repairable = h.total_weight() <= int(ceilings.sum())
     degraded = None
-    if nparts >= 2 and h.nverts and repairable:
+    if refiner.can_cycle(h):
         for _ in range(max_cycles):
             if deadline is not None and deadline.expired():
                 degraded = Degraded(
@@ -235,28 +209,28 @@ def kway_vcycle_refine(
                 )
                 _trace.event("deadline", where="vcycle", completed=cycles)
                 break
-            with _trace.span("vcycle.cycle", kind="kway",
+            with _trace.span("vcycle.cycle", kind=refiner.kind,
                              cycle=cycles) as sp:
-                cand = _one_kway_cycle(
-                    h, best, nparts, ceilings, cfg, rng, backend,
-                    deadline=deadline,
-                )
+                cand = run_multilevel(
+                    h, refiner, cfg, rng, backend, deadline, parts=best
+                ).parts
                 cand_cut = connectivity_volume(h, cand)
-                cand_feasible = _parts_feasible(h, cand, nparts, ceilings)
+                cand_feasible = refiner.feasible(h, cand)
                 cycles += 1
-                improved = (
-                    (cand_feasible, -cand_cut) > (best_feasible, -best_cut)
+                take, go_on = refiner.verdict(
+                    (cand_feasible, -cand_cut), (best_feasible, -best_cut)
                 )
-                sp.set(improved=improved, cut=cand_cut)
-            _VCYCLE_CYCLES.labels(kind="kway").inc()
-            _VCYCLE_KEEP_BEST.labels(
-                decision="improved" if improved else "kept"
-            ).inc()
-            if improved:
+                sp.set(improved=go_on, cut=cand_cut)
+            _VCYCLE_CYCLES.labels(kind=refiner.kind).inc()
+            if refiner.keep_best:
+                _VCYCLE_KEEP_BEST.labels(
+                    decision="improved" if take else "kept"
+                ).inc()
+            if take:
                 best, best_cut = cand, cand_cut
                 best_feasible = cand_feasible
             cuts.append(best_cut)
-            if not improved:
+            if not go_on:
                 break
     return VCycleResult(
         parts=best,
@@ -266,110 +240,3 @@ def kway_vcycle_refine(
         feasible=best_feasible,
         degraded=degraded,
     )
-
-
-def _one_kway_cycle(
-    h: Hypergraph,
-    parts: np.ndarray,
-    nparts: int,
-    ceilings: np.ndarray,
-    cfg: PartitionerConfig,
-    rng: np.random.Generator,
-    backend: KernelBackend,
-    deadline: Deadline | None = None,
-) -> np.ndarray:
-    """One restricted-coarsen / k-way-refine-up pass.
-
-    Restricted matching keeps every cluster within one part, so the
-    projected partitioning is well defined at every level (and each
-    nonempty part retains at least one coarse vertex — the coarsest
-    level is always k-way partitionable).
-    """
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * int(ceilings.min()))
-    )
-    levels: list[tuple[Hypergraph, np.ndarray]] = []  # (fine, cmap)
-    cur_h = h
-    cur_parts = parts
-    while cur_h.nverts > cfg.coarse_target and len(levels) < cfg.max_levels:
-        if deadline is not None and deadline.expired():
-            break  # refine whatever granularity we reached
-        match = match_vertices(
-            cur_h, cfg, rng, cluster_cap,
-            restrict_parts=cur_parts, backend=backend,
-        )
-        cmap, coarse = contract(
-            cur_h,
-            match,
-            merge_identical_nets=cfg.merge_identical_nets,
-            backend=backend,
-        )
-        if coarse.nverts > (1.0 - cfg.min_reduction) * cur_h.nverts:
-            break
-        # Project the partitioning: constant on clusters by construction.
-        coarse_parts = np.empty(coarse.nverts, dtype=np.int64)
-        coarse_parts[cmap] = cur_parts
-        levels.append((cur_h, cmap))
-        cur_h, cur_parts = coarse, coarse_parts
-
-    cur_parts = kway_refine(
-        cur_h, cur_parts, nparts, ceilings, cfg, rng, backend=backend,
-        deadline=deadline,
-    ).parts
-    for fine, cmap in reversed(levels):
-        # Restricted coarsening means projection alone reproduces the
-        # incoming assignment at every level — skipping a refinement
-        # under an expired deadline degrades quality, never validity.
-        cur_parts = cur_parts[cmap]
-        if deadline is not None and deadline.expired():
-            continue
-        cur_parts = kway_refine(
-            fine, cur_parts, nparts, ceilings, cfg, rng, backend=backend,
-            deadline=deadline,
-        ).parts
-    return cur_parts
-
-
-def _one_cycle(
-    h: Hypergraph,
-    parts: np.ndarray,
-    max_weights: tuple[int, int],
-    cfg: PartitionerConfig,
-    rng: np.random.Generator,
-    backend: KernelBackend,
-) -> np.ndarray:
-    """One restricted-coarsen / refine-up pass."""
-    cluster_cap = max(
-        1, int(cfg.cluster_weight_frac * min(max_weights[0], max_weights[1]))
-    )
-    levels: list[tuple[Hypergraph, np.ndarray]] = []  # (fine, cmap)
-    cur_h = h
-    cur_parts = parts
-    while cur_h.nverts > cfg.coarse_target and len(levels) < cfg.max_levels:
-        match = match_vertices(
-            cur_h, cfg, rng, cluster_cap,
-            restrict_parts=cur_parts, backend=backend,
-        )
-        cmap, coarse = contract(
-            cur_h,
-            match,
-            merge_identical_nets=cfg.merge_identical_nets,
-            backend=backend,
-        )
-        if coarse.nverts > (1.0 - cfg.min_reduction) * cur_h.nverts:
-            break
-        # Project the partitioning: constant on clusters by construction.
-        coarse_parts = np.empty(coarse.nverts, dtype=np.int64)
-        coarse_parts[cmap] = cur_parts
-        levels.append((cur_h, cmap))
-        cur_h, cur_parts = coarse, coarse_parts
-
-    cur_parts = fm_refine(
-        cur_h, cur_parts, max_weights, cfg, rng, backend=backend
-    ).parts
-    for fine, cmap in reversed(levels):
-        cur_parts = cur_parts[cmap]
-        cur_parts = fm_refine(
-            fine, cur_parts, max_weights, cfg, rng, backend=backend
-        ).parts
-    return cur_parts

@@ -1,12 +1,18 @@
 """Tests for the reusable FM pass state and its caching contract."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core.methods import bipartition
 from repro.errors import PartitioningError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import FMPassState, get_backend
 from repro.partitioner.fm import fm_refine
+from repro.sparse.generators import grid2d_laplacian
 
 
 def random_hypergraph(rng: np.random.Generator, nverts: int, nnets: int):
@@ -114,3 +120,43 @@ class TestReuse:
         cap = h.total_weight()
         fm_refine(h, parts, (cap, cap), seed=1)
         np.testing.assert_array_equal(parts, before)
+
+
+class TestLifetime:
+    """The state is cached on its hypergraph and refers back to it
+    weakly, so both are freed by reference counting alone."""
+
+    def test_state_freed_with_its_hypergraph(self):
+        h = random_hypergraph(np.random.default_rng(2), 40, 60)
+        gc.collect()
+        gc.disable()
+        try:
+            state = get_backend("python").fm_state(h)
+            state.list_mirrors()
+            assert state.h is h
+            ref = weakref.ref(h)
+            del h, state
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_no_state_outlives_a_bipartition(self):
+        matrix = grid2d_laplacian(30, 30)
+        gc.collect()
+        gc.disable()
+        try:
+            bipartition(matrix, "mediumgrain", refine=True, seed=1)
+            alive = sum(
+                isinstance(o, FMPassState) for o in gc.get_objects()
+            )
+        finally:
+            gc.enable()
+        assert alive == 0
+
+    def test_pickle_drops_the_cache(self, h):
+        get_backend("python").fm_state(h).list_mirrors()
+        h2 = pickle.loads(pickle.dumps(h))
+        assert h2._cache == {}
+        np.testing.assert_array_equal(h2.pins, h.pins)
+        assert not h2.pins.flags.writeable
+        assert get_backend("python").fm_state(h2).h is h2

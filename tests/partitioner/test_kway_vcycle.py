@@ -22,14 +22,10 @@ from repro.hypergraph.metrics import connectivity_volume, part_weights
 from repro.hypergraph.models import row_net_model
 from repro.partitioner.coarsen import contract, match_vertices
 from repro.partitioner.config import get_config
-from repro.partitioner.fm import kway_rebalance, kway_refine
+from repro.partitioner.fm import _parts_feasible, kway_rebalance, kway_refine
 from repro.partitioner.initial import initial_kway_parts
 from repro.partitioner.multilevel import multilevel_kway
-from repro.partitioner.vcycle import (
-    _parts_feasible,
-    kway_vcycle_refine,
-    vcycle_refine,
-)
+from repro.partitioner.vcycle import kway_vcycle_refine, vcycle_refine
 from repro.sparse.generators import erdos_renyi, grid2d_laplacian
 from repro.utils.balance import max_allowed_part_size
 

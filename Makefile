@@ -2,10 +2,10 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-numba test-chaos serve-smoke bench-regress \
+.PHONY: test test-python-fallback test-chaos serve-smoke bench-regress \
         bench-regress-update bench bench-e2e bench-e2e-update \
-        bench-e2e-smoke bench-serve bench-serve-update install-numba \
-        perfbench-selftest
+        bench-e2e-smoke bench-e2e-smoke-python bench-serve \
+        bench-serve-update perfbench-selftest
 
 # Tier-1 verification: the fast test suite (bench/chaos deselected).
 test:
@@ -25,14 +25,12 @@ test-chaos:
 serve-smoke:
 	$(PYTHON) -m benchmarks.bench_serve --smoke
 
-# Install the optional numba JIT (see setup.py extras) and run the suite
-# with the JIT path exercised end to end.  The tests auto-detect numba:
-# when it is importable, "auto" resolves to the JIT backend everywhere
-# and the numba-marked equivalence tests stop being interpreted-only.
-install-numba:
-	$(PYTHON) -m pip install numba
-
-test-numba: install-numba test
+# The same suite with no working C compiler: CC=false makes the native
+# kernel build fail, so "auto" resolves to the pure-Python reference in
+# every process (the build tests pick their own compiler).  With `test`
+# this covers both kernel paths.
+test-python-fallback:
+	CC=false $(PYTHON) -m pytest -x -q
 
 # Compare current kernel timings against the committed BENCH_kernels.json;
 # exits non-zero on a >25% regression in any kernel.
@@ -60,6 +58,10 @@ bench-e2e-update:
 # only (never on wall clock — CI runners are noisy).
 bench-e2e-smoke:
 	$(PYTHON) -m benchmarks.bench_e2e --smoke --jobs 2
+
+# The same smoke on the pure-Python kernels (the native build disabled).
+bench-e2e-smoke-python:
+	CC=false $(PYTHON) -m benchmarks.bench_e2e --smoke --jobs 2
 
 # Re-measure the serving tier against its gates (cache hits >= 20x
 # faster than cold; saturation p99 under 10% injected worker crashes

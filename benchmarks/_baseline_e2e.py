@@ -44,10 +44,12 @@ import contextlib
 
 import numpy as np
 
+# Only the bucket storage is used (the move loop links buckets inline);
+# it is the same as the frozen seed's.
+from benchmarks._baseline_kernels import BaselineGainBuckets as GainBuckets
 import repro.core.volume as _volume_mod
 import repro.hypergraph.metrics as _metrics_mod
 from repro.kernels.base import KernelBackend
-from repro.kernels.gains import GainBuckets
 from repro.kernels.python_backend import merge_identical_nets
 from repro.kernels.state import FMPassState, compute_fm_setup
 from repro.spmv.vector_dist import VectorDistribution

@@ -36,9 +36,7 @@ audited (:func:`repro.utils.executor.payload_audit`, untimed); the
 ``speedup_shm`` gate then times *delivery* — a no-op probe mapped over
 the p-way task shapes — because whole-run wall clock on a single-core
 host cannot resolve the few-millisecond payload delta that the layer
-removes (the full-partition times are recorded as context).  When numba
-is installed the ``"thread"`` backend (nogil kernels, zero payload) is
-measured as well.
+removes (the full-partition times are recorded as context).
 
 A fourth stage benchmarks the **direct k-way partitioner**
 (``algo="kway"`` — :mod:`repro.core.kway`) head-to-head against
@@ -107,7 +105,7 @@ from repro.core.recursive import partition
 from repro.core.volume import max_allowed_part_size
 from repro.eval.geomean import geometric_mean as _geomean
 from repro.eval.sweep import RunSpec, run_sweep
-from repro.kernels import available_backends, numba_available, resolve_backend
+from repro.kernels import available_backends, resolve_backend
 from repro.partitioner.config import get_config
 from repro.sparse.collection import build_collection, load_instance
 from repro.utils.executor import JobsBudget, MatrixExecutor, payload_audit
@@ -537,8 +535,6 @@ def bench_exec_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
     matrix = load_instance(name)
     entry: dict = {"nnz": matrix.nnz, "by_p": {}}
     modes = ["process-pickle", "process"]
-    if numba_available():
-        modes.append("thread")
     for p in ps:
         serial = partition(
             matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
@@ -640,7 +636,6 @@ def run_benchmarks(
         "schema": 1,
         "pipeline": PIPELINE,
         "backend": backend.name,
-        "numba_available": numba_available(),
         "repeats": repeats,
         "base_seed": BASE_SEED,
         "seeds": seeds,
@@ -855,9 +850,7 @@ def run_smoke(jobs: int) -> int:
     """
     import repro.kernels as kernels
 
-    kernel_backends = ["python"] + (
-        ["numba"] if numba_available() else []
-    )
+    kernel_backends = list(available_backends())
     exec_backends = ["process-pickle", "process", "thread"]
     seeds = spawn_seeds(BASE_SEED, 1)
     failures = 0
@@ -946,7 +939,7 @@ def _smoke_retry_path(jobs: int) -> int:
     The overhead gate then times the same sweep plain vs armed (deadline
     + retries configured, nothing failing) and requires the armed path
     to stay within 2% of the plain one plus a small absolute slack for
-    CI timer noise — min over repeats, so pool/JIT warm-up cancels out.
+    CI timer noise — min over repeats, so pool warm-up cancels out.
     """
     import tempfile
 

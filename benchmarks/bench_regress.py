@@ -54,7 +54,7 @@ from benchmarks._baseline_kernels import (
 from repro.core.medium_grain import build_medium_grain
 from repro.core.split import initial_split
 from repro.hypergraph.models import row_net_model
-from repro.kernels import BACKEND_CHOICES, numba_available, resolve_backend
+from repro.kernels import BACKEND_CHOICES, resolve_backend
 from repro.kernels.python_backend import merge_identical_nets
 from repro.partitioner.coarsen import match_vertices
 from repro.partitioner.config import get_config
@@ -110,7 +110,7 @@ def bench_fm_pass(matrix, backend, repeats: int, after_only: bool = False) -> di
         )
 
     d_before = run_before()
-    d_after = run_after()  # also JIT-warms the numba backend
+    d_after = run_after()
     if d_before != (int(d_after[0]), bool(d_after[1])):
         raise AssertionError(
             f"fm_pass drift: baseline {d_before} != backend {d_after}"
@@ -231,7 +231,6 @@ def run_benchmarks(
     report = {
         "schema": 1,
         "backend": backend.name,
-        "numba_available": numba_available(),
         "repeats": repeats,
         "matrices": {},
         "geomean_speedup": {},
@@ -353,7 +352,7 @@ def main(argv=None) -> int:
         committed = json.loads(out.read_text(encoding="utf-8"))
         # Timings are only comparable on the backend they were measured
         # with: default to it, and refuse a cross-backend comparison
-        # (committed-python vs current-numba would mask real
+        # (committed-python vs current-native would mask real
         # regressions; the reverse would flag spurious ones).
         spec = args.backend if args.backend else committed.get(
             "backend", "auto"

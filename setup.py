@@ -6,13 +6,11 @@ This shim enables the legacy editable path::
 
     pip install -e . --no-build-isolation --no-use-pep517
 
-All project metadata lives in ``pyproject.toml``.  The ``numba`` extra
-(``pip install -e .[numba]`` or ``make install-numba``) pulls in the
-optional JIT compiler: every kernel backend falls back to pure Python
-without it, but installing it makes ``"auto"`` resolve to the JIT
-backend so the tests and benchmarks exercise that path end to end.
+All project metadata lives in ``pyproject.toml``.  There are no extras:
+the native kernel backend needs only a C compiler (``$CC``, default
+``cc``) at run time, and falls back to pure Python without one.
 """
 
 from setuptools import setup
 
-setup(extras_require={"numba": ["numba"]})
+setup()

@@ -18,7 +18,7 @@ Five subcommands:
 
 ``serve``
     Run the always-available partitioning daemon (:mod:`repro.serve`):
-    matrices stay resident and JIT-warm, requests execute through the
+    matrices stay resident and workers warm, requests execute through the
     hardened worker path with admission control and a crash-safe
     partition cache.  See ``docs/serving.md``.
 
@@ -121,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=BACKEND_CHOICES,
         help=(
-            "kernel backend for the hot loops (auto = numba when "
-            "installed, pure Python otherwise; results are identical)"
+            "kernel backend for the hot loops (auto = native: C kernels "
+            "compiled once per machine with $CC, default cc; pure Python "
+            "when no compiler works, about 4x slower; results are "
+            "identical)"
         ),
     )
     p_part.add_argument(
@@ -131,8 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "workers for recursive bisection when --nparts > 2 "
-            "(1 = serial, 0 = CPU count); the partition is bit-identical "
-            "to the serial one, only faster"
+            "(1 = serial, 0 = CPU count); each worker process loads the "
+            "--backend kernels itself (the native library from the "
+            "per-machine cache); the partition is bit-identical to the "
+            "serial one, only faster"
         ),
     )
     p_part.add_argument(
@@ -141,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXEC_BACKEND_CHOICES,
         help=(
             "how parallel bisection workers run and receive submatrices: "
-            "threads over the nogil kernels, shared-memory worker "
-            "processes, or the legacy pickled-payload pool (auto picks "
-            "per environment; results are identical)"
+            "threads (overlapping only inside the GIL-free native "
+            "kernels), shared-memory worker processes, or the legacy "
+            "pickled-payload pool (auto = process; results are identical)"
         ),
     )
     _add_hardening_flags(p_part)
@@ -204,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "kernel backend for the hot loops in every run (combines "
             "freely with --jobs: each worker process resolves it "
-            "independently, so numba JIT warm-up is paid once per worker)"
+            "independently and loads the native library from the "
+            "per-machine cache, so only the first run ever compiles it)"
         ),
     )
     p_exp.add_argument(

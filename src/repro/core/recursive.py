@@ -39,7 +39,7 @@ the usual per-object caches (``FMPassState`` per hypergraph,
 ``SpMVState`` per matrix) are reused across that subtree's bisections
 exactly as in a serial run.  How a worker *receives* its subproblem is
 the ``exec_backend`` knob: threads share the matrix in-process (the
-numba kernels run ``nogil``), the default process backend publishes the
+native kernels release the GIL), the default process backend publishes the
 matrix once to a shared-memory store and ships only index ranges, and
 the legacy ``"process-pickle"`` backend pickles whole submatrices.  The
 partition returned is **bit-identical** for every ``jobs`` value and

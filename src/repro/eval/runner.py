@@ -219,7 +219,7 @@ def run_methods(
         ``seconds``.
     backend:
         Kernel backend for the hot loops (``"auto"`` / ``"python"`` /
-        ``"numba"``); bit-compatible, so a speed knob only.
+        ``"native"``); bit-compatible, so a speed knob only.
     algo:
         p-way partitioning scheme for ``nparts > 2`` runs:
         ``"recursive"`` bisection (default) or the direct ``"kway"``

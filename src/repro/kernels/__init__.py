@@ -1,30 +1,34 @@
 """Pluggable kernel backends for the pipeline's scalar hot loops.
 
-The loops that dominate end-to-end runtime — the FM move loop,
-greedy-matching candidate scoring, identical-net merging, and (since the
-sweep-engine PR) the greedy vector-owner assignment of the SpMV side —
-live here behind a small registry:
+The loops that dominate end-to-end runtime — the FM move loops (2-way
+and k-way), greedy-matching candidate scoring, identical-net merging,
+and the greedy vector-owner assignment of the SpMV side — live here
+behind a small registry:
 
 ``"python"``
-    The reference backend: the seed implementation relocated from
-    ``partitioner/`` and tightened (no per-move closures, direct bucket
-    linking, vectorized net merging).  Always available.
-``"numba"``
-    A JIT backend running the same loops on flat int64/float64 arrays.
-    Detected automatically; when numba is not installed the registry
-    falls back to ``"python"`` silently, so callers never need to guard.
+    The reference backend: list-based scalar loops, vectorized net
+    merging.  Always available.
+``"native"``
+    The same sequential loops compiled from C (:mod:`repro.kernels.native`)
+    and called through ctypes, about four times faster end to end.  The
+    library is built once per machine into a content-hashed cache; when
+    no compiler works, the registry resolves ``"native"`` and ``"auto"``
+    to ``"python"``.
 
 Backends are *bit-compatible*: for the same hypergraph, configuration,
 and seed they produce identical partitions, cuts, and matchings (pinned
 by ``tests/kernels/test_equivalence.py``).  Select a backend with
 ``PartitionerConfig.kernel_backend`` (``"auto"`` / ``"python"`` /
-``"numba"``) or the ``--backend`` CLI flag.
+``"native"``) or the ``--backend`` CLI flag.  The backend a process
+actually resolved is exported as the
+``repro_kernel_backend_info{backend=...}`` gauge, since a fall-back to
+Python costs about a factor four.
 
 Alongside the backends, :class:`~repro.kernels.state.FMPassState` keeps
-the per-hypergraph buffers (list mirrors, gain/bucket storage, pin-count
+the per-hypergraph buffers (list mirrors, flat bucket and matching
 scratch) alive across refinement calls, so multilevel refinement,
 V-cycles, and iterative medium-grain runs stop paying per-call
-``tolist()`` conversions and ``net_ids`` rebuilds.
+conversions and ``net_ids`` rebuilds.
 :class:`~repro.kernels.spmv.SpMVState` mirrors the same pattern on the
 matrix side for repeated volume/SpMV evaluation, and
 :mod:`repro.kernels.spmv` holds the shared flat-array group-by kernels
@@ -36,6 +40,7 @@ partial sums) used by ``core.volume``, ``spmv.*``, and
 from __future__ import annotations
 
 import importlib.util
+import threading
 
 from repro.errors import PartitioningError
 from repro.kernels.base import KernelBackend
@@ -43,6 +48,7 @@ from repro.kernels.kway import compute_kway_setup
 from repro.kernels.python_backend import PythonBackend
 from repro.kernels.spmv import SpMVState
 from repro.kernels.state import FMPassState, compute_fm_setup
+from repro.obs import metrics as _metrics
 
 __all__ = [
     "KernelBackend",
@@ -51,6 +57,7 @@ __all__ = [
     "compute_fm_setup",
     "compute_kway_setup",
     "available_backends",
+    "native_error",
     "numba_available",
     "get_backend",
     "resolve_backend",
@@ -58,44 +65,63 @@ __all__ = [
 ]
 
 #: Valid values of ``PartitionerConfig.kernel_backend`` / ``--backend``.
-BACKEND_CHOICES = ("auto", "python", "numba")
+BACKEND_CHOICES = ("auto", "python", "native")
 
 _BACKENDS: dict[str, KernelBackend] = {"python": PythonBackend()}
 
-_NUMBA_SPEC_CHECKED: list[bool] = []  # memoized find_spec result
+#: Why the native backend is unavailable in this process (once tried).
+_NATIVE_ERROR: list[str] = []
+_NATIVE_LOCK = threading.Lock()
+
+_BACKEND_INFO = _metrics.gauge(
+    "repro_kernel_backend_info",
+    "Kernel backend resolved in this process (1 = in use)",
+    ("backend",),
+)
 
 
 def numba_available() -> bool:
-    """Whether the numba JIT compiler can be imported (checked lazily)."""
-    if not _NUMBA_SPEC_CHECKED:
-        _NUMBA_SPEC_CHECKED.append(
-            importlib.util.find_spec("numba") is not None
-        )
-    return _NUMBA_SPEC_CHECKED[0]
+    """Whether numba can be imported.
+
+    No backend uses numba; this is kept only as benchmark provenance.
+    """
+    return importlib.util.find_spec("numba") is not None
 
 
-def _load_numba() -> KernelBackend | None:
-    """Import and register the numba backend, or ``None`` if unavailable."""
-    backend = _BACKENDS.get("numba")
-    if backend is not None:
+def _load_native() -> KernelBackend | None:
+    """Build/load and register the native backend once per process, or
+    ``None`` when it is unavailable (see :func:`native_error`)."""
+    with _NATIVE_LOCK:
+        backend = _BACKENDS.get("native")
+        if backend is not None or _NATIVE_ERROR:
+            return backend
+        from repro.kernels.native import NativeBackend, load_library
+
+        try:
+            backend = NativeBackend(load_library())
+        except OSError as exc:
+            _NATIVE_ERROR.append(str(exc))
+            return None
+        _BACKENDS["native"] = backend
         return backend
-    if not numba_available():
-        return None
-    try:
-        from repro.kernels.numba_backend import NumbaBackend
-    except Exception:  # pragma: no cover - numba present but broken
-        return None
-    backend = NumbaBackend()
-    _BACKENDS["numba"] = backend
-    return backend
+
+
+def native_error() -> str | None:
+    """Why the native backend failed to build or load, or ``None``."""
+    _load_native()
+    return _NATIVE_ERROR[0] if _NATIVE_ERROR else None
 
 
 def available_backends() -> tuple[str, ...]:
     """Names of the backends usable in this environment."""
-    names = ["python"]
-    if numba_available():
-        names.append("numba")
-    return tuple(names)
+    if _load_native() is None:
+        return ("python",)
+    return ("python", "native")
+
+
+def _in_use(backend: KernelBackend) -> KernelBackend:
+    _BACKEND_INFO.labels(backend=backend.name).set(1)
+    return backend
 
 
 def get_backend(name: str) -> KernelBackend:
@@ -104,15 +130,15 @@ def get_backend(name: str) -> KernelBackend:
     Unlike :func:`resolve_backend` this never falls back — use it when
     you need to *know* which backend you are timing or testing.
     """
-    if name == "numba":
-        backend = _load_numba()
+    if name == "native":
+        backend = _load_native()
         if backend is None:
             raise PartitioningError(
-                "kernel backend 'numba' requested but numba is not installed"
+                f"kernel backend 'native' is unavailable: {native_error()}"
             )
-        return backend
+        return _in_use(backend)
     try:
-        return _BACKENDS[name]
+        return _in_use(_BACKENDS[name])
     except KeyError:
         raise PartitioningError(
             f"unknown kernel backend {name!r}; "
@@ -123,20 +149,16 @@ def get_backend(name: str) -> KernelBackend:
 def resolve_backend(spec: "KernelBackend | str" = "auto") -> KernelBackend:
     """Resolve a backend spec to a live backend, with silent fallback.
 
-    ``"auto"`` picks numba when importable, the reference backend
-    otherwise; an explicit ``"numba"`` also degrades silently to
-    ``"python"`` when numba is absent, so configs are portable across
-    environments.  Backend instances pass through unchanged.
+    ``"auto"`` and ``"native"`` pick the native backend when it builds
+    and loads, the reference backend otherwise, so configs are portable
+    across environments.  Backend instances pass through unchanged.
     """
     if isinstance(spec, KernelBackend):
         return spec
-    if spec in ("auto", "numba"):
-        backend = _load_numba()
-        if backend is not None:
-            return backend
-        return _BACKENDS["python"]
+    if spec in ("auto", "native"):
+        return _in_use(_load_native() or _BACKENDS["python"])
     if spec == "python":
-        return _BACKENDS["python"]
+        return _in_use(_BACKENDS["python"])
     raise PartitioningError(
         f"unknown kernel backend {spec!r}; expected one of {BACKEND_CHOICES}"
     )

@@ -24,7 +24,7 @@ directly, which needs richer state:
     move, so the gain-bucket key is always the true best gain.
 
 All of it is computed here vectorized, shared by the ``"python"`` and
-``"numba"`` backends — only the sequential move loop differs, which is
+``"native"`` backends — only the sequential move loop differs, which is
 what makes the backends bit-compatible (mirroring
 :func:`repro.kernels.state.compute_fm_setup` for the 2-way pass).
 

@@ -19,8 +19,8 @@ The one genuinely sequential loop — greedy vector-owner assignment,
 where every choice updates the running send/receive loads — is a
 :class:`~repro.kernels.base.KernelBackend` method like the FM loops:
 ``"python"`` runs the reference scalar loop (restricted to the cut lines;
-singleton lines are assigned vectorized), ``"numba"`` runs the same loop
-JIT-compiled.  The bit-compatibility contract is unchanged: every backend
+singleton lines are assigned vectorized), ``"native"`` runs the same loop
+compiled from C.  The bit-compatibility contract is unchanged: every backend
 returns identical owners for identical inputs.
 
 Float contract: partial sums are accumulated by shared NumPy code

@@ -2,9 +2,10 @@
 
 :class:`FMPassState` owns every buffer an FM pass (or a matching sweep)
 needs beyond the partition vector itself: the Python-list mirrors of the
-CSR arrays used by the ``"python"`` backend, the flat scratch arrays used
-by the ``"numba"`` backend, the gain-bucket storage, and the derived
-scalars (gain bound, transit slack, total weight).
+CSR arrays used by the ``"python"`` backend, the flat scratch arrays
+handed to the compiled loops of the ``"native"`` backend, the gain-bucket
+storage, and the derived scalars (gain bound, transit slack, total
+weight).
 
 The state is keyed on the hypergraph and cached in ``Hypergraph._cache``
 — hypergraphs are immutable, so the state is **never invalidated**.  The
@@ -68,7 +69,7 @@ class FMPassState:
         self.total_weight = h.total_weight()
         #: Python-list mirrors (built on demand by the python backend).
         self.lists: dict | None = None
-        #: Flat scratch arrays (built on demand by the numba backend).
+        #: Flat scratch arrays (built on demand by the native backend).
         self.arrays: dict | None = None
         #: k-way bucket/move scratch (built on demand, see
         #: :meth:`kway_arrays`).
@@ -111,10 +112,12 @@ class FMPassState:
         return self.lists
 
     def flat_arrays(self) -> dict:
-        """Reusable flat scratch arrays for the JIT backend.
+        """Reusable flat scratch arrays for the native backend.
 
-        All int64 / bool, sized once per hypergraph: bucket heads and
-        links, gains, lock flags, per-side pin counts, and the move log.
+        All int64 / uint8 / float64 (the C loops' element types), sized
+        once per hypergraph: bucket heads and links, lock flags, the move
+        log, and the matching scores.  Pin counts and gains come fresh
+        from :func:`compute_fm_setup` each pass and are not cached.
         """
         if self.arrays is None:
             h = self.h
@@ -123,11 +126,8 @@ class FMPassState:
                 "head": np.empty((2, self.nbuckets), dtype=np.int64),
                 "nxt": np.empty(n, dtype=np.int64),
                 "prv": np.empty(n, dtype=np.int64),
-                "bgain": np.empty(n, dtype=np.int64),
-                "inside": np.empty(n, dtype=np.bool_),
-                "locked": np.empty(n, dtype=np.bool_),
-                "pc0": np.empty(h.nnets, dtype=np.int64),
-                "pc1": np.empty(h.nnets, dtype=np.int64),
+                "inside": np.empty(n, dtype=np.uint8),
+                "locked": np.empty(n, dtype=np.uint8),
                 "moved": np.empty(n, dtype=np.int64),
                 "score": np.empty(n, dtype=np.float64),
                 "touched": np.empty(n, dtype=np.int64),
@@ -151,8 +151,8 @@ class FMPassState:
                 "head": np.empty(self.nbuckets, dtype=np.int64),
                 "nxt": np.empty(n, dtype=np.int64),
                 "prv": np.empty(n, dtype=np.int64),
-                "inside": np.empty(n, dtype=np.bool_),
-                "locked": np.empty(n, dtype=np.bool_),
+                "inside": np.empty(n, dtype=np.uint8),
+                "locked": np.empty(n, dtype=np.uint8),
                 "moved": np.empty(n, dtype=np.int64),
                 "moved_from": np.empty(n, dtype=np.int64),
             }

@@ -17,7 +17,7 @@ are merged with their costs added, which both shrinks the problem and
 sharpens FM gains on the coarse levels.
 
 The scalar matching sweep and the identical-net merge are kernel-backend
-calls (:mod:`repro.kernels`), so the JIT backend accelerates coarsening
+calls (:mod:`repro.kernels`), so the native backend accelerates coarsening
 exactly as it does FM refinement.
 """
 

@@ -66,9 +66,9 @@ class PartitionerConfig:
         nets), inserting interior vertices lazily when touched.
     kernel_backend:
         Which :mod:`repro.kernels` backend runs the scalar hot loops:
-        ``"auto"`` (numba when installed, pure Python otherwise),
-        ``"python"``, or ``"numba"`` (silently degrades to Python when
-        numba is absent).  A live :class:`~repro.kernels.KernelBackend`
+        ``"auto"`` (the compiled C kernels when they build, pure Python
+        otherwise), ``"python"``, or ``"native"`` (the same silent
+        fall-back to Python when no C compiler works).  A live :class:`~repro.kernels.KernelBackend`
         instance is also accepted (the benchmark harness injects frozen
         baselines this way).  Backends are bit-compatible, so this is a
         speed knob only.
@@ -84,8 +84,7 @@ class PartitionerConfig:
     exec_backend:
         How parallel bisection workers execute and receive their
         submatrices (see :mod:`repro.utils.executor`): ``"auto"``
-        (threads over the nogil numba kernels when numba is installed,
-        shared-memory worker processes otherwise), ``"thread"``,
+        (shared-memory worker processes), ``"thread"``,
         ``"process"`` (shared-memory store), ``"process-pickle"`` (the
         legacy pickled-payload pool), or ``"serial"``.  Bit-identical by
         contract — a delivery knob only.

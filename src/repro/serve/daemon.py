@@ -2,8 +2,8 @@
 
 ``repro-partition serve`` turns the batch pipeline into a resident
 service: matrices stay published in the shared-memory store, worker
-pools stay warm (JIT compilation is paid once, at startup), and every
-partitioning request is executed through the hardened
+pools stay warm (process spawn and kernel loading are paid once, at
+startup), and every partitioning request is executed through the hardened
 :func:`repro.utils.executor.resilient_call` path — a request that
 crashes, hangs, or poisons its worker gets a structured failure brief in
 *its own* response while every concurrent request completes untouched.
@@ -81,6 +81,7 @@ from repro.errors import (
     RequestRejected,
     ResultValidationError,
 )
+from repro.kernels import resolve_backend
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.serve.cache import PartitionCache
@@ -140,7 +141,7 @@ class ServeConfig:
     #: Pool size backing request execution.
     jobs: int = 2
     #: ``"process"`` isolates requests in pool workers (the point);
-    #: ``"thread"`` exists for tests and numba-less environments.
+    #: ``"thread"`` exists for tests.
     backend: str = "process"
     #: Partition-cache journal path (``None``/empty = in-memory only).
     cache_path: Optional[str] = None
@@ -275,6 +276,10 @@ class PartitionDaemon:
             self.config.cache_path or None, cap=self.config.cache_cap
         )
         self.stats = _Stats()
+        #: What the workers' "auto" resolves to on this machine (also
+        #: the ``repro_kernel_backend_info`` gauge): a fall-back to
+        #: "python" serves about four times slower.
+        self.kernel_backend = resolve_backend("auto").name
         self._cache_error_surfaced = False
         self.port: Optional[int] = None
         self._ready = False
@@ -629,6 +634,7 @@ class PartitionDaemon:
         return {
             "uptime": round(time.monotonic() - s.started, 3),
             "ready": self._ready,
+            "kernel_backend": self.kernel_backend,
             "draining": self._draining,
             "inflight": self._inflight,
             "requests": s.requests,
@@ -651,7 +657,7 @@ class PartitionDaemon:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def _warmup(self) -> None:
-        """Pay the cold-start costs (pool spawn, JIT compilation) before
+        """Pay the cold-start costs (pool spawn, kernel loading) before
         declaring readiness, through the exact serving path."""
         rng = np.random.default_rng(0)
         n = 24
@@ -682,7 +688,7 @@ class PartitionDaemon:
             try:
                 await loop.run_in_executor(self._exec, self._warmup)
             except Exception as exc:  # noqa: BLE001 - warmup is advisory
-                # A failed warmup costs the first caller the JIT time;
+                # A failed warmup costs the first caller the start-up;
                 # refusing to serve over it would cost everyone.
                 print(
                     f"repro-serve: warmup failed "

@@ -18,7 +18,7 @@ The incidence lists and the greedy loop itself run through
 :mod:`repro.kernels.spmv`: incidences come from the boolean-scatter
 group-by (no per-call lexsort), singleton lines are assigned vectorized,
 and only the cut lines go through the sequential greedy kernel (scalar
-reference or numba JIT, bit-identical by contract).  The ``equal=True``
+reference or compiled C, bit-identical by contract).  The ``equal=True``
 path applies the same split: forced zero-cost indices are assigned
 vectorized and only contended indices run through its greedy loop.
 """
@@ -113,7 +113,7 @@ def distribute_vectors(
     Use :func:`expected_phase_words` to account for the surplus.
 
     ``backend`` selects the :mod:`repro.kernels` backend running the
-    greedy loop (``"auto"`` / ``"python"`` / ``"numba"`` or an instance);
+    greedy loop (``"auto"`` / ``"python"`` / ``"native"`` or an instance);
     backends are bit-compatible, so this is a speed knob only.
     """
     from repro.kernels import resolve_backend

@@ -22,12 +22,12 @@ Execution backends
     :class:`MatrixExecutor` delivers ``(submatrix, extra)`` tasks to
     workers under four interchangeable backends: ``"serial"`` (inline),
     ``"thread"`` (a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-    — zero-copy by construction; the numba kernels are compiled with
-    ``nogil=True`` so threads genuinely overlap in the hot loops),
+    — zero-copy by construction; the native kernels release the GIL, so
+    threads overlap inside them, but the Python around them does not),
     ``"process"`` (process pool + shared-memory store), and
     ``"process-pickle"`` (the legacy pickled-payload pool, kept as the
-    fallback and the benchmark baseline).  ``"auto"`` picks ``"thread"``
-    when the numba JIT is importable and ``"process"`` otherwise.  All
+    fallback and the benchmark baseline).  ``"auto"`` picks
+    ``"process"``.  All
     backends are bit-identical by construction: they only change how a
     task's inputs travel, never what the task computes.
 
@@ -141,15 +141,13 @@ _PAYLOAD_TASKS = _metrics.counter(
 def resolve_exec_backend(spec: str = "auto") -> str:
     """Resolve an execution-backend spec to a concrete backend name.
 
-    ``"auto"`` picks ``"thread"`` when the numba JIT is importable (the
-    kernels are compiled ``nogil=True``, so threads overlap in the hot
-    loops and share the address space for free) and ``"process"`` —
-    worker processes over the shared-memory matrix store — otherwise.
+    ``"auto"`` picks ``"process"`` — worker processes over the
+    shared-memory matrix store.  Threads overlap only inside the native
+    kernels, which release the GIL; the vectorized setup and the
+    orchestration around them still serialize on it.
     """
     if spec == "auto":
-        from repro.kernels import numba_available
-
-        return "thread" if numba_available() else "process"
+        return "process"
     if spec not in EXEC_BACKEND_CHOICES:
         raise ValueError(
             f"unknown execution backend {spec!r}; "

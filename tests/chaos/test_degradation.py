@@ -32,6 +32,11 @@ from repro.utils.balance import max_allowed_part_size
 pytestmark = pytest.mark.chaos
 
 INSTANCE = "sym_grid2d_s"
+#: The overload test needs a p=8 partitioning that takes well over the
+#: 50 ms overload deadline floor, or no queued request ever degrades.
+#: With the compiled kernels that rules out INSTANCE (about 50 ms);
+#: this one takes about 0.3 s (1.2 s on the python kernels).
+OVERLOAD_INSTANCE = "sqr_cl_l"
 
 
 def _plan(point, kind, *, hits=(1,), scope="worker", token=None):
@@ -158,7 +163,7 @@ def test_overload_degrades_queued_requests_instead_of_failing(
     def submit(seed):
         try:
             return handle.client(retries=0).partition(
-                instance=INSTANCE, nparts=8, seed=seed,
+                instance=OVERLOAD_INSTANCE, nparts=8, seed=seed,
                 include_parts=False,
             )
         except ServeError as exc:

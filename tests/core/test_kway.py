@@ -122,13 +122,11 @@ def test_kway_ignores_jobs_and_exec_backend():
 
 
 def test_kway_bit_identical_across_kernel_backends():
-    from repro.kernels.numba_backend import NumbaBackend
-
     m = MATRICES["kdiag"]()
     ref = partition_kway(m, 6, seed=13, config=PartitionerConfig(
         kernel_backend="python"))
     flat = partition_kway(m, 6, seed=13, config=PartitionerConfig(
-        kernel_backend=NumbaBackend()))
+        kernel_backend="native"))
     np.testing.assert_array_equal(ref.parts, flat.parts)
 
 

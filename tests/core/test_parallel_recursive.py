@@ -31,7 +31,7 @@ def er():
 class TestParallelDeterminism:
     """jobs is a speed knob only: identical output for every value."""
 
-    @pytest.mark.parametrize("backend", ["python", "numba"])
+    @pytest.mark.parametrize("backend", ["python", "native"])
     @pytest.mark.parametrize("p", [2, 4, 64])
     def test_bit_identical_across_jobs(self, er, p, backend):
         cfg = PartitionerConfig(kernel_backend=backend)

@@ -1,14 +1,10 @@
 """Cross-backend equivalence: backends must be bit-compatible.
 
-Two layers:
-
-* the flat-array kernels of the ``"numba"`` backend run *interpreted*
-  (numba's ``njit`` degrades to an identity decorator when numba is
-  absent), so the transliteration is checked in every environment on
-  small random hypergraphs;
-* when real numba is installed, the same checks run through the JIT
-  (and the registry then resolves ``"auto"`` to it), otherwise those
-  are skipped cleanly.
+The compiled loops of the ``"native"`` backend are checked against the
+``"python"`` reference on small random hypergraphs: FM passes, matching
+(heavy-edge and absorption, free and part-restricted), a coarsening
+level, and a whole multilevel run.  Where no C compiler works the native
+side is unavailable and these tests skip.
 """
 
 import numpy as np
@@ -16,8 +12,7 @@ import pytest
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume
-from repro.kernels import get_backend, numba_available
-from repro.kernels.numba_backend import NumbaBackend
+from repro.kernels import available_backends, get_backend
 from repro.partitioner.coarsen import coarsen_level, match_vertices
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import fm_refine
@@ -36,9 +31,10 @@ def random_hypergraph(rng: np.random.Generator, nverts: int, nnets: int):
 
 
 def backends_under_test():
-    """The reference backend plus the flat-array backend (interpreted
-    when numba is absent, JIT when present)."""
-    return get_backend("python"), NumbaBackend()
+    """The reference backend plus the compiled one."""
+    if "native" not in available_backends():
+        pytest.skip("native backend unavailable: no working C compiler")
+    return get_backend("python"), get_backend("native")
 
 
 CONFIGS = [
@@ -144,16 +140,22 @@ def test_multilevel_equivalent():
     assert r_py.cut == r_nb.cut
 
 
-@pytest.mark.skipif(
-    not numba_available(), reason="numba not installed: JIT backend absent"
-)
-def test_jit_backend_via_registry():
-    """With real numba, the registry-resolved backend matches python."""
-    rng = np.random.default_rng(5)
-    h = random_hypergraph(rng, nverts=80, nnets=100)
-    parts = rng.integers(0, 2, size=h.nverts).astype(np.int64)
-    cap = int(1.2 * h.total_weight() / 2) + 1
-    r_py = fm_refine(h, parts, (cap, cap), seed=1, backend="python")
-    r_nb = fm_refine(h, parts, (cap, cap), seed=1, backend="numba")
-    np.testing.assert_array_equal(r_py.parts, r_nb.parts)
-    assert (r_py.cut, r_py.improvement) == (r_nb.cut, r_nb.improvement)
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.name)
+@pytest.mark.parametrize("case_seed", range(3))
+def test_restricted_matching_equivalent_under_config(cfg, case_seed):
+    """Restriction combined with each matching rule (absorption too) and
+    a tight cluster cap, so the weight test also rejects candidates."""
+    rng = np.random.default_rng(5000 + case_seed)
+    h = random_hypergraph(rng, nverts=60, nnets=90)
+    restrict = rng.integers(0, 3, size=h.nverts).astype(np.int32)
+    py, flat = backends_under_test()
+    got = [
+        match_vertices(
+            h, cfg, np.random.default_rng(case_seed), 4,
+            restrict_parts=restrict, backend=b,
+        )
+        for b in (py, flat)
+    ]
+    np.testing.assert_array_equal(*got)
+    assert (got[0] >= 0).any()
+

@@ -1,9 +1,8 @@
 """k-way FM kernels: cross-backend bit-identity and metric invariants.
 
 Mirrors ``tests/kernels/test_equivalence.py`` for the k-way pass: the
-flat-array loop of the ``"numba"`` backend runs interpreted when numba is
-absent, so the transliteration is checked in every environment; with real
-numba installed the same checks exercise the JIT.
+compiled loop of the ``"native"`` backend is checked against the
+``"python"`` reference (skipped where no C compiler works).
 """
 
 import numpy as np
@@ -11,8 +10,7 @@ import pytest
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.metrics import connectivity_volume, part_weights
-from repro.kernels import get_backend
-from repro.kernels.numba_backend import NumbaBackend
+from repro.kernels import available_backends, get_backend
 from repro.partitioner.config import PartitionerConfig
 from repro.partitioner.fm import kway_refine
 
@@ -28,6 +26,13 @@ def random_hypergraph(rng: np.random.Generator, nverts: int, nnets: int):
     vwgt = rng.integers(1, 4, size=nverts)
     ncost = rng.integers(0, 3, size=nnets)
     return Hypergraph.from_net_lists(nverts, nets, vwgt=vwgt, ncost=ncost)
+
+
+def native():
+    """The compiled backend, or skip where it cannot be built."""
+    if "native" not in available_backends():
+        pytest.skip("native backend unavailable: no working C compiler")
+    return get_backend("native")
 
 
 CONFIGS = [
@@ -59,7 +64,7 @@ def _case(case_seed, extreme=False):
 @pytest.mark.parametrize("case_seed", range(8))
 def test_kway_refine_backend_equivalent(cfg, case_seed):
     h, parts, k, ceilings = _case(case_seed)
-    py, flat = get_backend("python"), NumbaBackend()
+    py, flat = get_backend("python"), native()
     r_py = kway_refine(h, parts, k, ceilings, cfg, seed=case_seed, backend=py)
     r_nb = kway_refine(
         h, parts, k, ceilings, cfg, seed=case_seed, backend=flat
@@ -94,7 +99,7 @@ def test_kway_refine_monotone_from_feasible(cfg, case_seed):
 def test_kway_refine_rebalances_extreme_start(cfg, case_seed):
     """All weight on part 0 (no boundary at all) must still rebalance."""
     h, parts, k, ceilings = _case(case_seed, extreme=True)
-    for backend in (get_backend("python"), NumbaBackend()):
+    for backend in map(get_backend, available_backends()):
         r = kway_refine(
             h, parts, k, ceilings, cfg, seed=case_seed, backend=backend
         )
@@ -113,9 +118,9 @@ def test_kway_refine_input_not_modified_and_state_reuse():
     r2 = kway_refine(h, parts, k, ceilings, seed=5, backend=py)
     np.testing.assert_array_equal(r1.parts, r2.parts)
     assert r1.cut == r2.cut
-    # The flat-array backend caches the k-way bucket scratch on the
+    # The native backend caches the k-way bucket scratch on the
     # hypergraph's pass state; a second call reuses it bit-identically.
-    flat = NumbaBackend()
+    flat = native()
     f1 = kway_refine(h, parts, k, ceilings, seed=5, backend=flat)
     assert flat.fm_state(h).kway is not None
     assert "moved_from" in flat.fm_state(h).kway

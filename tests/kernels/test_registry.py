@@ -8,7 +8,7 @@ from repro.kernels import (
     KernelBackend,
     available_backends,
     get_backend,
-    numba_available,
+    native_error,
     resolve_backend,
 )
 from repro.partitioner.config import PartitionerConfig
@@ -19,30 +19,33 @@ class TestRegistry:
         assert "python" in available_backends()
         assert get_backend("python").name == "python"
 
-    def test_available_matches_numba_presence(self):
+    def test_available_matches_native_build(self):
         names = available_backends()
-        assert ("numba" in names) == numba_available()
+        assert ("native" in names) == (native_error() is None)
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(PartitioningError, match="unknown kernel backend"):
             get_backend("fortran")
 
-    def test_get_backend_numba_raises_when_absent(self):
-        if numba_available():
-            pytest.skip("numba installed: strict lookup succeeds")
-        with pytest.raises(PartitioningError, match="numba"):
-            get_backend("numba")
+    def test_get_backend_native_is_strict(self):
+        # The strict lookup either returns the compiled backend or says
+        # why it is unavailable; it never falls back.
+        if native_error() is None:
+            assert get_backend("native").name == "native"
+        else:
+            with pytest.raises(PartitioningError, match="native"):
+                get_backend("native")
 
     def test_resolve_auto(self):
         backend = resolve_backend("auto")
-        expected = "numba" if numba_available() else "python"
+        expected = "native" if native_error() is None else "python"
         assert backend.name == expected
 
-    def test_resolve_numba_falls_back_silently(self):
-        # Explicit "numba" must degrade to the reference backend rather
-        # than raise when numba is not installed.
-        backend = resolve_backend("numba")
-        expected = "numba" if numba_available() else "python"
+    def test_resolve_native_falls_back_silently(self):
+        # Explicit "native" must degrade to the reference backend rather
+        # than raise when the library cannot be built.
+        backend = resolve_backend("native")
+        expected = "native" if native_error() is None else "python"
         assert backend.name == expected
 
     def test_resolve_passthrough_instance(self):
@@ -60,7 +63,7 @@ class TestRegistry:
         assert get_backend("python") is get_backend("python")
 
     def test_choices_cover_config_values(self):
-        assert set(BACKEND_CHOICES) == {"auto", "python", "numba"}
+        assert set(BACKEND_CHOICES) == {"auto", "python", "native"}
 
     def test_base_class_is_abstract(self):
         kb = KernelBackend()

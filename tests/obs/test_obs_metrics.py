@@ -269,6 +269,7 @@ class TestModuleRegistry:
 
         for name in (
             "repro_fm_passes_total",
+            "repro_kernel_backend_info",
             "repro_coarsen_levels_total",
             "repro_executor_tasks_total",
             "repro_sweep_chunks_total",

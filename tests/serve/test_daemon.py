@@ -45,6 +45,21 @@ def test_stats_shape(served):
     assert {"requests", "served", "failed", "shed", "cache"} <= set(stats)
 
 
+def test_stats_and_metrics_name_the_kernel_backend(served):
+    # A fall-back to the python kernels must be visible, not silent.
+    from repro.kernels import resolve_backend
+
+    want = resolve_backend("auto").name
+    assert served.client().stats()["kernel_backend"] == want
+    conn = http.client.HTTPConnection("127.0.0.1", served.port, timeout=60)
+    try:
+        conn.request("GET", "/metrics")
+        text = conn.getresponse().read().decode("utf-8")
+    finally:
+        conn.close()
+    assert f'repro_kernel_backend_info{{backend="{want}"}} 1' in text
+
+
 def test_unknown_path_404(served):
     status, body, _ = _raw(served, "GET", "/nope")
     assert status == 404 and "unknown path" in body["error"]

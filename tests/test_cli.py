@@ -62,6 +62,25 @@ class TestPartitionCommand:
         assert "mediumgrain+ir" in out
         assert "IR volume trace" in out
 
+    def test_trace_metrics_record_names_the_kernel_backend(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.kernels import resolve_backend
+
+        trace = tmp_path / "run.jsonl"
+        rc = main(["partition", "--instance", "sym_gd97_like", "--seed", "1",
+                   "--trace", str(trace)])
+        assert rc == 0
+        want = resolve_backend("auto").name
+        assert f"kernel backend    : {want}" in capsys.readouterr().out
+        last = json.loads(trace.read_text().splitlines()[-1])
+        samples = last["metrics"]["repro_kernel_backend_info"]["samples"]
+        assert {"suffix": "", "labels": {"backend": want}, "value": 1.0} in (
+            samples
+        )
+
     def test_file_input(self, tmp_path, capsys):
         path = tmp_path / "m.mtx"
         write_matrix_market(load_instance("sym_gd97_like"), path)

@@ -13,7 +13,7 @@ test:
 
 # Fault-injection suite for the hardened execution layer: injected
 # crashes (real SIGKILLs), hangs vs the watchdog, exceptions, shm-attach
-# failures, and poisoned results, across every execution backend.
+# failures, and poisoned results, on the process pool and inline.
 # Opt-in — it deliberately kills and rebuilds worker pools.
 test-chaos:
 	$(PYTHON) -m pytest -m chaos -q
@@ -53,9 +53,9 @@ bench-e2e:
 bench-e2e-update:
 	$(PYTHON) -m benchmarks.bench_e2e
 
-# CI smoke for the execution layer: tiny instances, every kernel x
-# execution backend with --jobs 2, gated on completion + bit-identity
-# only (never on wall clock — CI runners are noisy).
+# CI smoke for the execution layer: tiny instances, every kernel
+# backend on the process pool with --jobs 2, gated on completion +
+# bit-identity only (never on wall clock — CI runners are noisy).
 bench-e2e-smoke:
 	$(PYTHON) -m benchmarks.bench_e2e --smoke --jobs 2
 

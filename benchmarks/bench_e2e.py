@@ -26,19 +26,7 @@ volume must equal the partitioner's volume, the baseline volumes must be
 bit-identical to the live ones (the kernel contract), and the parallel
 sweep's records must equal the serial sweep's (modulo measured seconds).
 
-A third stage measures the **execution layer** itself: the legacy
-pickled-payload pool (``exec_backend="process-pickle"`` — every task
-ships a full submatrix) versus the shared-memory store
-(``exec_backend="process"`` — tasks ship a segment handle plus an index
-range).  Per (matrix, p): the real p-way partitioning is verified
-bit-identical to serial under every backend and its shipped bytes are
-audited (:func:`repro.utils.executor.payload_audit`, untimed); the
-``speedup_shm`` gate then times *delivery* — a no-op probe mapped over
-the p-way task shapes — because whole-run wall clock on a single-core
-host cannot resolve the few-millisecond payload delta that the layer
-removes (the full-partition times are recorded as context).
-
-A fourth stage benchmarks the **direct k-way partitioner**
+A third stage benchmarks the **direct k-way partitioner**
 (``algo="kway"`` — :mod:`repro.core.kway`) head-to-head against
 recursive bisection at the same p values, on the bench set plus the
 k-diagonal structured instance: per (matrix, p) it verifies the k-way
@@ -49,7 +37,7 @@ and records interleaved min-of wall clocks and the volume ratio
 ``kway / recursive`` — the quality/speed trade-off the ROADMAP's
 bisection-vs-direct comparison asks for.
 
-A fifth stage (``kway-ml``) benchmarks the **multilevel** direct k-way
+A fourth stage (``kway-ml``) benchmarks the **multilevel** direct k-way
 engine (``algo="kway"`` with ``kway_vcycles >= 1`` —
 :func:`repro.partitioner.multilevel.multilevel_kway`) against recursive
 bisection on the same grid.  Where the flat k-way stage above trades
@@ -108,7 +96,7 @@ from repro.eval.sweep import RunSpec, run_sweep
 from repro.kernels import available_backends, resolve_backend
 from repro.partitioner.config import get_config
 from repro.sparse.collection import build_collection, load_instance
-from repro.utils.executor import JobsBudget, MatrixExecutor, payload_audit
+from repro.utils.executor import JobsBudget
 from repro.utils.rng import spawn_seeds
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -358,8 +346,7 @@ def bench_kway_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
                     f"{name} p={p}: kway partition differs under kernel "
                     f"backend {kb!r}"
                 )
-        exec_backends = ["process-pickle", "process", "thread"]
-        for jv, eb in [(1, "serial")] + [(jobs, m) for m in exec_backends]:
+        for jv, eb in ((1, "serial"), (jobs, "process")):
             res = partition(
                 matrix, p, method="mediumgrain", seed=BASE_SEED,
                 algo="kway", jobs=jv, exec_backend=eb,
@@ -458,8 +445,7 @@ def bench_kway_ml_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
                     f"{name} p={p}: kway-ml partition differs under "
                     f"kernel backend {kb!r}"
                 )
-        exec_backends = ["process-pickle", "process", "thread"]
-        for jv, eb in [(1, "serial")] + [(jobs, m) for m in exec_backends]:
+        for jv, eb in ((1, "serial"), (jobs, "process")):
             res = partition(
                 matrix, p, method="mediumgrain", seed=BASE_SEED,
                 config=ml_cfg, algo="kway", jobs=jv, exec_backend=eb,
@@ -501,124 +487,6 @@ def bench_kway_ml_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
             "bit_identical": True,
             "method": kw.method,
         }
-    return entry
-
-
-def _delivery_probe(sub, extra):
-    """Executor task that only *receives* its submatrix (one touch so
-    lazy views cannot be optimized away), isolating delivery cost."""
-    return (sub.nnz, extra)
-
-
-def bench_exec_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
-    """Time the execution backends against each other on one matrix.
-
-    For every p, three measurements:
-
-    * **Identity + payload** on the real partitioning: each backend's
-      p-way partition is verified bit-identical to the serial reference,
-      and its per-run shipped bytes are recorded by an (untimed)
-      :func:`~repro.utils.executor.payload_audit` run — the direct
-      evidence of the pickling cut.
-    * **Delivery timing** (the ``speedup_shm`` gate): the executor maps
-      a no-op probe over ``p`` index chunks of the matrix — exactly the
-      task shapes the p-way scheduler dispatches — under the pickled
-      pool and the shared-memory store.  This isolates what the layer
-      changed (select + serialize + ship + reconstruct); whole-run wall
-      clock on a loaded single-core host cannot resolve a
-      few-millisecond payload delta under hundreds of milliseconds of
-      partitioning compute, so the full-partition timings below are
-      context, not the gate.
-    * **Full-partition timing** (context): interleaved min-of wall
-      clock of the real p-way run under both backends.
-    """
-    matrix = load_instance(name)
-    entry: dict = {"nnz": matrix.nnz, "by_p": {}}
-    modes = ["process-pickle", "process"]
-    for p in ps:
-        serial = partition(
-            matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
-        )
-        payloads: dict[str, int] = {}
-        part_best = {mode: float("inf") for mode in modes}
-        for mode in modes:
-            # Warm pools/caches and verify identity; then audit payloads.
-            res = partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                jobs=jobs, exec_backend=mode,
-            )
-            if not np.array_equal(serial.parts, res.parts):
-                raise AssertionError(
-                    f"{name} p={p} exec_backend={mode}: partition "
-                    f"differs from serial"
-                )
-            with payload_audit() as audit:
-                partition(
-                    matrix, p, method="mediumgrain", seed=BASE_SEED,
-                    jobs=jobs, exec_backend=mode,
-                )
-            payloads[mode] = audit["bytes"]
-        for _ in range(repeats):
-            for mode in modes:
-                t0 = time.perf_counter()
-                partition(
-                    matrix, p, method="mediumgrain", seed=BASE_SEED,
-                    jobs=jobs, exec_backend=mode,
-                )
-                part_best[mode] = min(
-                    part_best[mode], time.perf_counter() - t0
-                )
-
-        # Delivery gate: p index chunks (the p-way task shapes) through
-        # a no-op probe, interleaved min-of timing.
-        chunk_rng = np.random.default_rng(BASE_SEED)
-        owner = chunk_rng.integers(0, p, matrix.nnz)
-        tasks = [(np.flatnonzero(owner == k), k) for k in range(p)]
-        delivery_best = {mode: float("inf") for mode in modes}
-        executors = {
-            mode: MatrixExecutor(matrix, jobs, mode) for mode in modes
-        }
-        try:
-            for mode, ex in executors.items():
-                ex.map(_delivery_probe, tasks)  # warm pools + store
-            for _ in range(repeats + 2):
-                for mode, ex in executors.items():
-                    t0 = time.perf_counter()
-                    out = ex.map(_delivery_probe, tasks)
-                    delivery_best[mode] = min(
-                        delivery_best[mode], time.perf_counter() - t0
-                    )
-                    if [o[0] for o in out] != [t[0].size for t in tasks]:
-                        raise AssertionError(
-                            f"{name} p={p}: delivery probe returned "
-                            f"wrong submatrices under {mode}"
-                        )
-        finally:
-            for ex in executors.values():
-                ex.close()
-        cell = {
-            "volume": serial.volume,
-            "bit_identical": True,
-            "pickled_s": round(delivery_best["process-pickle"], 6),
-            "shm_s": round(delivery_best["process"], 6),
-            "speedup_shm": round(
-                delivery_best["process-pickle"] / delivery_best["process"], 3
-            ),
-            "partition_pickled_s": round(part_best["process-pickle"], 6),
-            "partition_shm_s": round(part_best["process"], 6),
-            "payload_pickled_bytes": payloads["process-pickle"],
-            "payload_shm_bytes": payloads["process"],
-            "payload_cut": round(
-                payloads["process-pickle"] / payloads["process"], 2
-            ) if payloads["process"] else float("inf"),
-        }
-        if "thread" in modes:
-            cell["thread_s"] = round(delivery_best["thread"], 6)
-            cell["partition_thread_s"] = round(part_best["thread"], 6)
-            cell["speedup_thread"] = round(
-                delivery_best["process-pickle"] / delivery_best["thread"], 3
-            )
-        entry["by_p"][str(p)] = cell
     return entry
 
 
@@ -698,35 +566,6 @@ def run_benchmarks(
         ]), 3,
     )
     report["pway"] = pway
-
-    # Execution-layer stage: pickled pool vs shared-memory workers.
-    exec_section: dict = {
-        "baseline": "process-pickle",
-        "current": "process",
-        "ps": [int(p) for p in pway_parts],
-        "jobs": jobs,
-        "matrices": {},
-    }
-    for name in matrices:
-        entry = bench_exec_matrix(name, pway_parts, repeats, jobs)
-        exec_section["matrices"][name] = entry
-        for p in pway_parts:
-            e = entry["by_p"][str(p)]
-            print(
-                f"  {name:14s} p={p:<3d} delivery pickled "
-                f"{e['pickled_s']:7.4f} s   shm {e['shm_s']:7.4f} s   "
-                f"x{e['speedup_shm']:.2f}   payload "
-                f"{e['payload_pickled_bytes']:>10d} -> "
-                f"{e['payload_shm_bytes']:>9d} B "
-                f"(x{e['payload_cut']:.1f} cut)"
-            )
-    exec_section["geomean_speedup_shm"] = round(
-        _geomean([
-            exec_section["matrices"][m]["by_p"][str(p)]["speedup_shm"]
-            for m in matrices for p in pway_parts
-        ]), 3,
-    )
-    report["exec"] = exec_section
 
     # Direct k-way vs recursive bisection stage.
     kway_names = tuple(
@@ -851,7 +690,7 @@ def run_smoke(jobs: int) -> int:
     import repro.kernels as kernels
 
     kernel_backends = list(available_backends())
-    exec_backends = ["process-pickle", "process", "thread"]
+    exec_backends = ["process"]
     seeds = spawn_seeds(BASE_SEED, 1)
     failures = 0
     for kb in kernel_backends:
@@ -1111,8 +950,6 @@ def main(argv=None) -> int:
           f"x{report['geomean_speedup_serial']}")
     print(f"geomean p-way speedup (parallel j{args.jobs}, vs frozen serial "
           f"baseline): x{report['pway']['geomean_speedup_parallel']}")
-    print(f"geomean exec-layer speedup (shared-memory vs pickled pool): "
-          f"x{report['exec']['geomean_speedup_shm']}")
     print(f"geomean kway speedup over recursive bisection: "
           f"x{report['kway']['geomean_speedup_kway']} at volume ratio "
           f"{report['kway']['geomean_volume_ratio_by_p']}")

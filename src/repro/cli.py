@@ -144,10 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=EXEC_BACKEND_CHOICES,
         help=(
-            "how parallel bisection workers run and receive submatrices: "
-            "threads (overlapping only inside the GIL-free native "
-            "kernels), shared-memory worker processes, or the legacy "
-            "pickled-payload pool (auto = process; results are identical)"
+            "where parallel bisection tasks run: inline (serial) or on "
+            "worker processes that attach the matrix from shared memory "
+            "(auto = process; results are identical)"
         ),
     )
     _add_hardening_flags(p_part)
@@ -288,13 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--jobs", type=int, default=2,
         help="worker-pool size backing request execution",
-    )
-    p_srv.add_argument(
-        "--serve-backend", default="process", choices=("process", "thread"),
-        help=(
-            "process = crash-isolated pool workers (the point); thread "
-            "exists for constrained environments"
-        ),
     )
     p_srv.add_argument(
         "--cache", default="",
@@ -631,7 +623,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         overload_deadline_factor=args.overload_deadline_factor,
         retries=args.retries,
         jobs=args.jobs,
-        backend=args.serve_backend,
         cache_path=args.cache or None,
         cache_cap=args.cache_cap,
         port_file=args.port_file,

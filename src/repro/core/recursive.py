@@ -37,13 +37,11 @@ bisections until there are at least ``jobs`` independent subtrees, then
 hands each worker a whole subtree to solve serially — within a worker
 the usual per-object caches (``FMPassState`` per hypergraph,
 ``SpMVState`` per matrix) are reused across that subtree's bisections
-exactly as in a serial run.  How a worker *receives* its subproblem is
-the ``exec_backend`` knob: threads share the matrix in-process (the
-native kernels release the GIL), the default process backend publishes the
-matrix once to a shared-memory store and ships only index ranges, and
-the legacy ``"process-pickle"`` backend pickles whole submatrices.  The
-partition returned is **bit-identical** for every ``jobs`` value and
-every backend.
+exactly as in a serial run.  The ``exec_backend`` knob says where the
+subtrees run: ``"serial"`` inline, or ``"process"`` (the default), which
+publishes the matrix once to a shared-memory store and ships each
+worker only index ranges.  The partition returned is **bit-identical**
+for every ``jobs`` value and both backends.
 """
 
 from __future__ import annotations
@@ -199,12 +197,11 @@ def partition(
     k-way partitioner has no tree to schedule, so ``jobs`` and
     ``exec_backend`` are validated but do not apply there.
 
-    ``exec_backend`` picks how those workers run and receive their
-    submatrices (threads / shared-memory processes / pickled-payload
-    processes; ``None`` = the config's
+    ``exec_backend`` picks where those subtrees run (``"serial"`` inline
+    or ``"process"`` shared-memory workers; ``None`` = the config's
     :attr:`~repro.partitioner.config.PartitionerConfig.exec_backend`,
-    whose ``"auto"`` default resolves per environment).  Also a pure
-    speed knob — every backend returns the identical partition.
+    whose ``"auto"`` default is ``"process"``).  Also a pure speed knob
+    — both backends return the identical partition.
 
     ``deadline`` (a :class:`~repro.utils.deadline.Deadline` or the
     deterministic :class:`~repro.utils.deadline.SoftBudget`) makes the

@@ -117,7 +117,7 @@ class ExecutionError(ReproError):
 
 class TaskTimeout(ExecutionError):
     """A task exceeded its per-task deadline; its worker was killed by
-    the watchdog (process backends) or abandoned (thread backend)."""
+    the watchdog."""
 
     def __init__(self, message: str, *, task: str = "", attempt: int = 0,
                  timeout: float | None = None):
@@ -134,9 +134,10 @@ class DegradedExecution(ExecutionError):
     """A task exhausted its retry budget on the worker pool and was
     completed by serial in-process execution instead.
 
-    Raised only when even the serial fallback is impossible; normally it
-    is *recorded* (``.brief()``) on the completed result so a sweep
-    finishes with an annotation instead of aborting.
+    Raised only when the caller refuses the serial fallback
+    (``resilient_map(..., fallback=None)``, as the serving daemon does);
+    normally it is *recorded* (``.brief()``) on the completed result so
+    a sweep finishes with an annotation instead of aborting.
     """
 
 

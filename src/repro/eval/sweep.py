@@ -73,7 +73,6 @@ from repro.utils.executor import (
     SharedMatrixStore,
     account_payload,
     drop_process_pool,
-    pool_map,
     pool_submit,
     resilient_map,
 )
@@ -556,7 +555,6 @@ def run_sweep(
     specs: Sequence[RunSpec],
     *,
     jobs: "int | None | JobsBudget" = 1,
-    exec_backend: str = "process",
     progress: bool = False,
     task_timeout: float | None = None,
     retries: int = 0,
@@ -572,20 +570,14 @@ def run_sweep(
     instead *splits* its total between sweep workers and the recursion
     workers inside each p-way run — chunks then stay instance-aligned
     and the remainder of the budget is handed down via ``RunSpec.jobs``.
-    Records are bit-identical across every ``jobs`` value and backend
-    except for the measured ``seconds`` (and any ``failures``
-    annotations — like ``seconds``, they describe how a run went, not
-    its result).
+    Records are bit-identical across every ``jobs`` value except for
+    the measured ``seconds`` (and any ``failures`` annotations — like
+    ``seconds``, they describe how a run went, not its result).
 
-    ``exec_backend`` selects the worker flavour: ``"process"`` (the
-    default — sweeps are dominated by per-run Python orchestration, so
-    processes sidestep the GIL; each chunk ships a
+    Pool workers are processes: each chunk ships a
     :class:`~repro.utils.executor.MatrixHandle` to its worker, which
     attaches the published instance zero-copy instead of rebuilding it
-    by name) or ``"thread"`` (in-process workers; chunks never split
-    below instance boundaries there, so concurrent threads never share
-    one instance's cached kernel states).  Process-chunk payloads are
-    folded into any active
+    by name.  Chunk payloads are folded into any active
     :func:`~repro.utils.executor.payload_audit`.
 
     ``task_timeout`` / ``retries`` arm the hardened execution path (see
@@ -606,11 +598,6 @@ def run_sweep(
     records in place — merged output bit-identical to an uninterrupted
     sweep.
     """
-    if exec_backend not in ("process", "thread"):
-        raise EvaluationError(
-            f"run_sweep exec_backend must be 'process' or 'thread', "
-            f"got {exec_backend!r}"
-        )
     inner = None
     if isinstance(jobs, JobsBudget):
         budget = jobs
@@ -641,9 +628,7 @@ def run_sweep(
             pending = [s for s in specs if s.index not in journal.done]
         else:
             pending = list(specs)
-        stream = _execute_pending(
-            pending, jobs, exec_backend, policy, progress, inner
-        )
+        stream = _execute_pending(pending, jobs, policy, progress, inner)
         try:
             for spec in specs:
                 if journal is not None and spec.index in journal.done:
@@ -668,7 +653,6 @@ def run_sweep(
 def _execute_pending(
     specs: list[RunSpec],
     jobs: int,
-    exec_backend: str,
     policy: RetryPolicy,
     progress: bool,
     inner: int | None,
@@ -685,35 +669,24 @@ def _execute_pending(
             yield _execute_serial(spec, policy)
         return
     chunks = _chunk_by_instance(specs)
-    if len(chunks) < jobs and inner is None and exec_backend != "thread":
+    if len(chunks) < jobs and inner is None:
         # Fewer instances than workers (e.g. many seeds of one matrix):
         # instance-aligned chunks would leave workers idle, so fall back
         # to per-run items — cache locality matters less than an empty
         # pool.  (Not under a budget — the leftover went to the inner
-        # level — and not under threads, where two workers sharing one
-        # instance would share its cached kernel states.)
+        # level.)
         chunks = [[spec] for spec in specs]
     workers = min(jobs, len(chunks))
     _SWEEP_CHUNKS.inc(len(chunks))
     if policy.active:
-        yield from _run_chunks_resilient(
-            chunks, workers, exec_backend, policy, progress
-        )
+        yield from _run_chunks_resilient(chunks, workers, policy, progress)
         return
     try:
-        if exec_backend == "thread":
-            results = pool_map("thread", workers, _execute_chunk, chunks)
-            for chunk, records in zip(chunks, results):
-                if progress:  # pragma: no cover - console side effect
-                    print(f"[sweep] {chunk[0].instance}", flush=True)
-                _validate_chunk_records(chunk, records)
-                yield from records
-        else:
-            for chunk, records in _run_chunks_shm(chunks, workers):
-                if progress:  # pragma: no cover - console side effect
-                    print(f"[sweep] {chunk[0].instance}", flush=True)
-                _validate_chunk_records(chunk, records)
-                yield from records
+        for chunk, records in _run_chunks_shm(chunks, workers):
+            if progress:  # pragma: no cover - console side effect
+                print(f"[sweep] {chunk[0].instance}", flush=True)
+            _validate_chunk_records(chunk, records)
+            yield from records
     except BrokenProcessPool:
         # A worker died; forget the poisoned pool so the next sweep
         # starts fresh instead of failing forever.
@@ -721,10 +694,32 @@ def _execute_pending(
         raise
 
 
+def _chunk_payload(chunk: list[RunSpec], live: dict[str, int]) -> tuple:
+    """The ``(handle, name, chunk)`` payload of one chunk, gated on
+    ``STORE_CAP``.
+
+    ``live`` maps the distinct instances that already shipped a handle
+    to their count of such chunks.  A chunk of one of them, or of a new
+    instance while fewer than ``STORE_CAP`` are live, publishes (or
+    reuses) the instance's store and ships its handle; past the cap the
+    handle is ``None`` and the worker loads the instance by name rather
+    than attach a segment that would be evicted before it got there.
+    The payload is folded into any active payload audit.
+    """
+    name = chunk[0].instance
+    if name in live or len(live) < STORE_CAP:
+        handle = SharedMatrixStore.for_matrix(load_instance(name)).handle
+        live[name] = live.get(name, 0) + 1
+    else:
+        handle = None
+    payload = (handle, name, chunk)
+    account_payload([payload])
+    return payload
+
+
 def _run_chunks_resilient(
     chunks: list[list[RunSpec]],
     workers: int,
-    exec_backend: str,
     policy: RetryPolicy,
     progress: bool,
 ) -> Iterator:
@@ -738,25 +733,8 @@ def _run_chunks_resilient(
     failure briefs are annotated onto every record of the affected
     chunk.
     """
-    if exec_backend == "thread":
-        kind, fn = "thread", _execute_chunk
-        items: list = list(chunks)
-    else:
-        kind, fn = "process", _execute_chunk_shm
-        published: set[str] = set()
-        items = []
-        for chunk in chunks:
-            name = chunk[0].instance
-            if name in published or len(published) < STORE_CAP:
-                handle = SharedMatrixStore.for_matrix(
-                    load_instance(name)
-                ).handle
-                published.add(name)
-            else:
-                handle = None  # past the cap: the worker loads by name
-            payload = (handle, name, chunk)
-            account_payload([payload])
-            items.append(payload)
+    published: dict[str, int] = {}
+    items = [_chunk_payload(chunk, published) for chunk in chunks]
 
     def fallback(i: int):
         # The driver's own by-name execution: scope="worker" faults and
@@ -765,7 +743,7 @@ def _run_chunks_resilient(
         return _execute_chunk(chunks[i])
 
     values, failures = resilient_map(
-        kind, workers, fn, items,
+        workers, _execute_chunk_shm, items,
         policy=policy, fallback=fallback,
         validate=lambda i, recs: _validate_chunk_records(chunks[i], recs),
         labels=[chunk[0].instance for chunk in chunks],
@@ -818,20 +796,10 @@ def _run_chunks_shm(
     while idx < len(chunks) or pending:
         while idx < len(chunks) and len(pending) < window:
             chunk = chunks[idx]
-            name = chunk[0].instance
-            if name in live or len(live) < STORE_CAP:
-                handle = SharedMatrixStore.for_matrix(
-                    load_instance(name)
-                ).handle
-                live[name] = live.get(name, 0) + 1
-            else:
-                handle = None  # past the cap: would be evicted unused
-            payload = (handle, name, chunk)
-            account_payload([payload])
+            payload = _chunk_payload(chunk, live)
             pending.append(
-                (chunk, handle is not None,
-                 pool_submit("process", workers,
-                             _execute_chunk_shm, payload))
+                (chunk, payload[0] is not None,
+                 pool_submit(workers, _execute_chunk_shm, payload))
             )
             idx += 1
         chunk, had_handle, future = pending.popleft()

@@ -82,12 +82,11 @@ class PartitionerConfig:
         randomness is keyed on its tree position).  An explicit
         ``jobs=`` argument to ``partition`` overrides it.
     exec_backend:
-        How parallel bisection workers execute and receive their
-        submatrices (see :mod:`repro.utils.executor`): ``"auto"``
-        (shared-memory worker processes), ``"thread"``,
-        ``"process"`` (shared-memory store), ``"process-pickle"`` (the
-        legacy pickled-payload pool), or ``"serial"``.  Bit-identical by
-        contract — a delivery knob only.
+        Where parallel bisection tasks run (see
+        :mod:`repro.utils.executor`): ``"process"`` (worker processes
+        attaching the matrix from a shared-memory store; what
+        ``"auto"`` picks) or ``"serial"`` (inline).  Bit-identical by
+        contract — a speed knob only.
     algo:
         How ``partition(matrix, nparts)`` produces a p-way partitioning:
         ``"recursive"`` (the paper's recursive-bisection scheme, default)

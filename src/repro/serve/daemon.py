@@ -4,7 +4,7 @@
 service: matrices stay published in the shared-memory store, worker
 pools stay warm (process spawn and kernel loading are paid once, at
 startup), and every partitioning request is executed through the hardened
-:func:`repro.utils.executor.resilient_call` path — a request that
+:func:`repro.utils.executor.resilient_map` path — a request that
 crashes, hangs, or poisons its worker gets a structured failure brief in
 *its own* response while every concurrent request completes untouched.
 The daemon process itself never dies for a request's sins.
@@ -33,7 +33,7 @@ crash isolation
     :class:`~repro.utils.executor.RetryPolicy` deadline; the watchdog
     SIGKILLs hung workers and crashed ones are retried with capped
     backoff.  With the budget exhausted the daemon *refuses* the batch
-    layer's inline fallback (:func:`resilient_call` with no fallback):
+    layer's inline fallback (:func:`resilient_map` with no fallback):
     running a request that repeatedly killed workers inside the daemon's
     own address space would trade everyone's availability for one
     caller's answer.  The request gets a 500 (504 when every failure was
@@ -98,7 +98,7 @@ from repro.utils.deadline import Deadline
 from repro.utils.executor import (
     RetryPolicy,
     SharedMatrixStore,
-    resilient_call,
+    resilient_map,
     shutdown_pools,
 )
 
@@ -140,9 +140,6 @@ class ServeConfig:
     retries: int = 1
     #: Pool size backing request execution.
     jobs: int = 2
-    #: ``"process"`` isolates requests in pool workers (the point);
-    #: ``"thread"`` exists for tests.
-    backend: str = "process"
     #: Partition-cache journal path (``None``/empty = in-memory only).
     cache_path: Optional[str] = None
     cache_cap: int = 512
@@ -267,11 +264,6 @@ class PartitionDaemon:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        if self.config.backend not in ("process", "thread"):
-            raise ValueError(
-                f"backend must be 'process' or 'thread', got "
-                f"{self.config.backend!r}"
-            )
         self.cache = PartitionCache(
             self.config.cache_path or None, cap=self.config.cache_cap
         )
@@ -288,7 +280,7 @@ class PartitionDaemon:
         self._stop = asyncio.Event()
         self._sem = asyncio.Semaphore(self.config.max_inflight)
         #: Dispatch threads: each admitted request blocks one of these
-        #: on :func:`resilient_call` while the event loop stays free.
+        #: on :func:`resilient_map` while the event loop stays free.
         self._exec = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
             thread_name_prefix="serve-dispatch",
@@ -359,17 +351,17 @@ class PartitionDaemon:
                 )
             validate_parts(value[0], nnz, nparts, context=label)
 
-        kind = "thread" if self.config.backend == "thread" else "process"
         with _trace.activate(trace, "serve.dispatch", label=label) as dsp:
             # The worker parents its spans under this dispatch span —
             # the envelope rides the spec dict like the deadline does.
             spec["trace"] = dsp.context()
-            value, failures = resilient_call(
-                kind, self.config.jobs, _execute_request,
-                (store.handle, spec),
-                policy=policy, validate=check, label=label,
+            # No fallback: a request that exhausts its retry budget
+            # raises DegradedExecution instead of running in-process.
+            values, failures = resilient_map(
+                self.config.jobs, _execute_request, [(store.handle, spec)],
+                policy=policy, validate=check, labels=[label],
             )
-        parts, info = value
+        (parts, info), failures = values[0], failures[0]
         result = {
             "instance": req.instance,
             "digest": matrix_digest(matrix),

@@ -19,17 +19,12 @@ Shared-memory matrix store
     :meth:`~repro.sparse.matrix.SparseMatrix.from_canonical`.
 
 Execution backends
-    :class:`MatrixExecutor` delivers ``(submatrix, extra)`` tasks to
-    workers under four interchangeable backends: ``"serial"`` (inline),
-    ``"thread"`` (a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-    — zero-copy by construction; the native kernels release the GIL, so
-    threads overlap inside them, but the Python around them does not),
-    ``"process"`` (process pool + shared-memory store), and
-    ``"process-pickle"`` (the legacy pickled-payload pool, kept as the
-    fallback and the benchmark baseline).  ``"auto"`` picks
-    ``"process"``.  All
-    backends are bit-identical by construction: they only change how a
-    task's inputs travel, never what the task computes.
+    :class:`MatrixExecutor` delivers ``(submatrix, extra)`` tasks either
+    inline (``"serial"``) or to the shared process pool over the
+    shared-memory store (``"process"``, which ``"auto"`` picks; the
+    measurements that chose it are in ``docs/performance.md``).  The
+    two are bit-identical by construction: they only change where a
+    task runs, never what it computes.
 
 Jobs budget
     :class:`JobsBudget` makes one ``--jobs N`` composable across nesting
@@ -38,7 +33,7 @@ Jobs budget
     recursion tree inside each run) so ``outer * inner <= total`` —
     nested pools can no longer oversubscribe the machine.
 
-The worker pools are persistent (fork/spawn cost paid once per process,
+The worker pool is persistent (fork/spawn cost paid once per process,
 not once per call) and shut down exactly once through exit hooks that
 cover both plain interpreters (:mod:`atexit`) and multiprocessing
 children (:class:`multiprocessing.util.Finalize` — children skip atexit),
@@ -56,7 +51,6 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait as futures_wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -89,11 +83,9 @@ __all__ = [
     "MatrixExecutor",
     "resolve_exec_backend",
     "process_pool",
-    "thread_pool",
     "pool_map",
     "pool_submit",
     "resilient_map",
-    "resilient_call",
     "shutdown_pools",
     "close_matrix_stores",
     "payload_audit",
@@ -101,7 +93,7 @@ __all__ = [
 ]
 
 #: Valid values of ``PartitionerConfig.exec_backend`` / ``--exec-backend``.
-EXEC_BACKEND_CHOICES = ("auto", "serial", "thread", "process", "process-pickle")
+EXEC_BACKEND_CHOICES = ("auto", "serial", "process")
 
 # Observability (see docs/observability.md): dispatch volume, hardened
 # task latency, and the hardening events.  Plain process-local adds —
@@ -142,9 +134,7 @@ def resolve_exec_backend(spec: str = "auto") -> str:
     """Resolve an execution-backend spec to a concrete backend name.
 
     ``"auto"`` picks ``"process"`` — worker processes over the
-    shared-memory matrix store.  Threads overlap only inside the native
-    kernels, which release the GIL; the vectorized setup and the
-    orchestration around them still serialize on it.
+    shared-memory matrix store.
     """
     if spec == "auto":
         return "process"
@@ -254,7 +244,7 @@ class RetryPolicy:
 
 
 # --------------------------------------------------------------------- #
-# Persistent pools (shared by the sweep engine and recursive bisection)
+# Persistent pool (shared by the sweep engine and recursive bisection)
 # --------------------------------------------------------------------- #
 #: ``(owner_pid, size, pool)`` — the pid guards against fork inheritance:
 #: a worker process forked from a parent that held a live pool inherits
@@ -263,27 +253,13 @@ class RetryPolicy:
 #: running parallel recursion under a :class:`JobsBudget`) therefore
 #: creates its own pool on first use in each process.
 _PROCESS_POOL: tuple[int, int, ProcessPoolExecutor] | None = None
-_THREAD_POOL: tuple[int, int, ThreadPoolExecutor] | None = None
 
-#: Guards every module-level singleton (the two pools, the store
-#: registry): the thread backend makes concurrent calls into this module
-#: a normal condition, and unguarded check-then-act would let two
-#: threads each create (or worse, one retire while the other submits to)
-#: the "shared" pool.
+#: Guards every module-level singleton (the pool, the store registry):
+#: the serving daemon's dispatch threads call into this module
+#: concurrently, and unguarded check-then-act would let two threads each
+#: create (or worse, one retire while the other submits to) the
+#: "shared" pool.
 _LOCK = threading.RLock()
-
-#: Thread-local nesting state.  ``in_worker`` is set (via the pool
-#: initializer) in every thread the layer creates; a nested
-#: ``thread_pool`` request from such a thread gets a *private*
-#: per-thread pool instead of the shared one — handing a worker the very
-#: pool it runs on would deadlock the moment all workers block on
-#: futures only they could execute (the sweep x recursion composition
-#: under the thread backend).
-_TLS = threading.local()
-
-
-def _mark_worker() -> None:
-    _TLS.in_worker = True
 
 
 #: True in processes that are workers of *this layer's* process pools
@@ -425,58 +401,25 @@ def process_pool(jobs: int) -> ProcessPoolExecutor:
         return pool
 
 
-def thread_pool(jobs: int) -> ThreadPoolExecutor:
-    """The shared thread pool (grown to at least ``jobs``, never shrunk —
-    idle threads are nearly free, unlike idle processes).
-
-    Calls from *inside* one of the layer's own worker threads (a sweep
-    chunk running parallel recursion under a :class:`JobsBudget`) get a
-    private per-thread pool instead: the shared pool's workers are
-    exactly the threads blocking on the nested futures, so handing it
-    back would deadlock permanently.
-    """
-    if getattr(_TLS, "in_worker", False):
-        cached = getattr(_TLS, "pool", None)
-        if cached is not None and cached[0] >= jobs:
-            return cached[1]
-        if cached is not None:
-            cached[1].shutdown(wait=False)
-        pool = ThreadPoolExecutor(max_workers=jobs, initializer=_mark_worker)
-        _TLS.pool = (jobs, pool)
-        return pool
-    global _THREAD_POOL
-    with _LOCK:
-        pid = os.getpid()
-        if _THREAD_POOL is not None:
-            if _THREAD_POOL[0] == pid and _THREAD_POOL[1] >= jobs:
-                return _THREAD_POOL[2]
-            if _THREAD_POOL[0] == pid:
-                _THREAD_POOL[2].shutdown(wait=False)
-        _ensure_exit_hook()
-        pool = ThreadPoolExecutor(max_workers=jobs, initializer=_mark_worker)
-        _THREAD_POOL = (pid, jobs, pool)
-        return pool
-
-
 def pool_map(kind: str, jobs: int, fn, items, chunksize: int = 1):
     """Fetch the shared pool and submit ``items`` atomically.
 
     Submission happens under the layer's lock so a concurrent resize
     cannot retire the pool between the fetch and the submit (executor
     ``map`` submits every item eagerly; only result consumption is
-    lazy, and retired pools drain already-submitted work).
+    lazy, and retired pools drain already-submitted work).  ``kind``
+    only labels the dispatch in ``repro_executor_tasks_total``; the pool
+    is always the shared process pool.
     """
     try:
         _EXEC_TASKS.labels(backend=kind).inc(len(items))
     except TypeError:  # pragma: no cover - generator payloads
         pass
     with _LOCK:
-        if kind == "thread":
-            return thread_pool(jobs).map(fn, items)
         return process_pool(jobs).map(fn, items, chunksize=chunksize)
 
 
-def pool_submit(kind: str, jobs: int, fn, item):
+def pool_submit(jobs: int, fn, item):
     """Fetch the shared pool and submit one task atomically.
 
     The single-item counterpart of :func:`pool_map`, for callers that
@@ -484,22 +427,25 @@ def pool_submit(kind: str, jobs: int, fn, item):
     bounded window so each chunk's shared-memory store is published just
     before its worker needs it).  Returns the future.
     """
-    _EXEC_TASKS.labels(backend=kind).inc()
+    _EXEC_TASKS.labels(backend="process").inc()
     with _LOCK:
-        if kind == "thread":
-            return thread_pool(jobs).submit(fn, item)
         return process_pool(jobs).submit(fn, item)
 
 
-def drop_process_pool() -> None:
+def drop_process_pool() -> ProcessPoolExecutor | None:
     """Forget the shared process pool (it is broken or being replaced).
 
     Called after :class:`BrokenProcessPool` so the next parallel call
-    starts a fresh pool instead of failing forever.
+    starts a fresh pool instead of failing forever.  Returns the pool
+    when this process owns it, for callers that retire it; a forked
+    child's inherited entry is never its to shut down.
     """
     global _PROCESS_POOL
     with _LOCK:
-        _PROCESS_POOL = None
+        entry, _PROCESS_POOL = _PROCESS_POOL, None
+    if entry is None or entry[0] != os.getpid():
+        return None
+    return entry[2]
 
 
 def _watchdog_kill_pool() -> None:
@@ -514,12 +460,9 @@ def _watchdog_kill_pool() -> None:
     segments are unaffected — they are owned and cleaned by this
     (parent) process, never by workers.
     """
-    global _PROCESS_POOL
-    with _LOCK:
-        entry, _PROCESS_POOL = _PROCESS_POOL, None
-    if entry is None or entry[0] != os.getpid():
+    pool = drop_process_pool()
+    if pool is None:
         return
-    pool = entry[2]
     for proc in list(getattr(pool, "_processes", {}).values()):
         try:
             proc.kill()
@@ -529,13 +472,12 @@ def _watchdog_kill_pool() -> None:
 
 
 def resilient_map(
-    kind: str,
     jobs: int,
     fn,
     items: list,
     *,
     policy: RetryPolicy,
-    fallback,
+    fallback=None,
     validate=None,
     labels=None,
 ) -> tuple[list, list[list[ExecutionError]]]:
@@ -548,6 +490,14 @@ def resilient_map(
     exhausted — serial in-process completion via ``fallback(index)``,
     so the map *always* returns a full result list.
 
+    ``fallback=None`` *refuses* that last rung: a serving process must
+    never run a request that repeatedly killed its workers inside its
+    own address space, so a task that exhausts its budget raises
+    :class:`~repro.errors.DegradedExecution` instead, carrying the
+    task's failure records from before degradation on its ``failures``
+    attribute (the serving daemon turns it into a structured
+    per-request error).
+
     ``validate(index, value)`` (optional) is applied to every result at
     this boundary; a :class:`~repro.errors.ResultValidationError` it
     raises is treated exactly like a crash and the task retried.
@@ -555,10 +505,6 @@ def resilient_map(
     failure records (:class:`~repro.errors.ExecutionError` instances)
     task ``i`` accumulated on its way to completion; an untroubled task
     has an empty list.
-
-    Thread-backend caveat: threads cannot be killed, so a timed-out
-    thread task is *abandoned* (recorded as a timeout and resubmitted;
-    the stale thread's result is discarded when it eventually lands).
     """
     n = len(items)
     values: list = [None] * n
@@ -570,18 +516,17 @@ def resilient_map(
     degraded: list[int] = []
     pending: dict = {}
     collateral: set[int] = set()
-    is_process = kind != "thread"
 
     def _label(i: int) -> str:
         return labels[i] if labels is not None else f"task{i}"
 
     def _submit(i: int) -> None:
         try:
-            fut = pool_submit(kind, jobs, fn, items[i])
+            fut = pool_submit(jobs, fn, items[i])
         except BrokenProcessPool:
             # The shared pool broke between our calls; start fresh.
             drop_process_pool()
-            fut = pool_submit(kind, jobs, fn, items[i])
+            fut = pool_submit(jobs, fn, items[i])
         now = time.monotonic()
         deadline = now + policy.timeout if policy.timeout is not None else None
         pending[fut] = (i, deadline, now)
@@ -675,10 +620,8 @@ def resilient_map(
         ]
         if expired:
             for fut, i in expired:
-                # Thread backend: the future cannot be cancelled — the
-                # stale thread is simply abandoned (it is released when
-                # a fault plan is uninstalled) and its result discarded.
-                # Process backend: the worker is about to be killed.
+                # The future cannot be cancelled; its worker is about to
+                # be killed.
                 del pending[fut]
                 attempts[i] += 1
                 _fail(i, TaskTimeout(
@@ -686,17 +629,16 @@ def resilient_map(
                     task=_label(i), attempt=attempts[i],
                     timeout=policy.timeout,
                 ))
-            if is_process:
-                # Kill the hung workers; siblings still in flight become
-                # collateral and are resubmitted on the rebuilt pool.
-                for _fut, (i, _d, _t) in pending.items():
-                    collateral.add(i)
-                _EXEC_WATCHDOG_KILLS.inc()
-                _trace.event(
-                    "watchdog_kill", expired=len(expired),
-                    collateral=len(pending),
-                )
-                _watchdog_kill_pool()
+            # Kill the hung workers; siblings still in flight become
+            # collateral and are resubmitted on the rebuilt pool.
+            for _fut, (i, _d, _t) in pending.items():
+                collateral.add(i)
+            _EXEC_WATCHDOG_KILLS.inc()
+            _trace.event(
+                "watchdog_kill", expired=len(expired),
+                collateral=len(pending),
+            )
+            _watchdog_kill_pool()
     # Degradation ladder's last rung: whatever the pool could not
     # deliver is computed serially in-process, so the map always
     # completes.  A validation failure here is terminal — there is no
@@ -704,6 +646,15 @@ def resilient_map(
     for i in degraded:
         if completed[i]:  # pragma: no cover - defensive
             continue
+        if fallback is None:
+            exc = DegradedExecution(
+                "retry budget exhausted on the worker pool; inline "
+                "fallback is disabled for isolated requests",
+                task=_label(i),
+            )
+            # The pre-degradation records: the task's full failure story.
+            exc.failures = failures[i]
+            raise exc
         _EXEC_DEGRADED.inc()
         _trace.event("degraded_execution", task=_label(i))
         value = fallback(i)
@@ -719,84 +670,19 @@ def resilient_map(
     return values, failures
 
 
-def resilient_call(
-    kind: str,
-    jobs: int,
-    fn,
-    item,
-    *,
-    policy: RetryPolicy,
-    fallback=None,
-    validate=None,
-    label: str = "",
-) -> tuple[object, list[ExecutionError]]:
-    """Run one ``fn(item)`` task on the shared pool under ``policy``.
-
-    The single-item counterpart of :func:`resilient_map`, for callers
-    that dispatch work one request at a time (the serving daemon): same
-    deadline/watchdog/retry semantics, returning ``(value, failures)``.
-
-    ``fallback`` defaults to *refusing* inline completion: a serving
-    process must never run a request that repeatedly killed its workers
-    inside its own address space, so with the retry budget exhausted a
-    :class:`~repro.errors.DegradedExecution` is raised (carrying every
-    accumulated failure record on its ``failures`` attribute) instead of
-    degrading — the caller turns it into a structured per-request error.
-    Pass an explicit ``fallback(index)`` to opt back into the batch
-    layer's degrade-to-inline ladder.
-    """
-    refused = object()
-    refusing = fallback is None
-    if refusing:
-        fallback = lambda _i: refused  # noqa: E731
-
-        if validate is not None:
-            inner_validate = validate
-
-            def validate(i, value):  # noqa: F811 - deliberate wrap
-                if value is not refused:
-                    inner_validate(i, value)
-
-    values, failures = resilient_map(
-        kind, jobs, fn, [item],
-        policy=policy, fallback=fallback, validate=validate,
-        labels=[label] if label else None,
-    )
-    if refusing and values[0] is refused:
-        exc = DegradedExecution(
-            "retry budget exhausted on the worker pool; inline fallback "
-            "is disabled for isolated requests", task=label,
-        )
-        # The pre-degradation records: the request's full failure story.
-        exc.failures = [f for f in failures[0]
-                        if not isinstance(f, DegradedExecution)]
-        raise exc
-    return values[0], failures[0]
-
-
 def shutdown_pools(wait: bool = False) -> None:
-    """Shut down every shared pool (idempotent; registered with atexit).
+    """Shut down the shared pool and close this process's matrix stores
+    (idempotent; registered with atexit).
 
     Before this layer, :mod:`repro.core.recursive` kept a module-level
     pool alive at interpreter exit; the atexit hook guarantees worker
     processes are reaped no matter which subsystem created them.
     """
-    global _PROCESS_POOL, _THREAD_POOL
-    # Detach the singletons under the lock, but run the (possibly
-    # blocking, wait=True) shutdowns outside it: a still-running worker
+    # Detach the singleton under the lock, but run the (possibly
+    # blocking, wait=True) shutdown outside it: a still-running worker
     # that needs the lock must not deadlock against the join.
-    pools = []
-    with _LOCK:
-        pid = os.getpid()
-        if _PROCESS_POOL is not None:
-            if _PROCESS_POOL[0] == pid:
-                pools.append(_PROCESS_POOL[2])
-            _PROCESS_POOL = None
-        if _THREAD_POOL is not None:
-            if _THREAD_POOL[0] == pid:
-                pools.append(_THREAD_POOL[2])
-            _THREAD_POOL = None
-    for pool in pools:
+    pool = drop_process_pool()
+    if pool is not None:
         pool.shutdown(wait=wait)
     close_matrix_stores()
 
@@ -1027,7 +913,7 @@ def payload_audit():
     """Record the bytes each executor task ships to its worker.
 
     Yields a dict with running ``bytes`` and ``tasks`` counters; inline
-    (serial/thread) execution ships nothing and counts zero.  The
+    (serial) execution ships nothing and counts zero.  The
     end-to-end benchmark uses this to demonstrate the pickling cut of
     the shared-memory store without taxing the timed runs.
     """
@@ -1077,22 +963,6 @@ def _shm_task(arg):
     return faults.fault_point("executor.result", fn(sub, extra))
 
 
-def _pickle_task(arg):
-    """Process worker (legacy path): the submatrix arrived pickled."""
-    fn, sub, extra = arg
-    faults.fault_point("executor.task")
-    return faults.fault_point("executor.result", fn(sub, extra))
-
-
-def _thread_task(arg):
-    """Thread worker: select *inside* the worker so the nogil kernels and
-    the NumPy select of sibling tasks overlap."""
-    matrix, fn, indices, extra = arg
-    faults.fault_point("executor.task")
-    sub = matrix if indices is None else matrix.select(indices)
-    return faults.fault_point("executor.result", fn(sub, extra))
-
-
 def _inline_task(matrix: SparseMatrix, fn, indices, extra):
     """Inline (driver-process) execution of one executor task.
 
@@ -1112,28 +982,21 @@ class MatrixExecutor:
 
     Tasks are ``(indices, extra)`` pairs: ``indices`` selects the
     submatrix (``None`` = the whole matrix), ``extra`` is a small
-    picklable payload.  ``fn`` must be a module-level function (process
-    backends pickle it by reference).  :meth:`map` returns results in
-    task order for every backend, which is what lets callers treat the
-    backend purely as a speed knob.
+    picklable payload.  ``fn`` must be a module-level function (the
+    process backend pickles it by reference).  :meth:`map` returns
+    results in task order for every backend, which is what lets callers
+    treat the backend purely as a speed knob.
 
     Backend delivery semantics:
 
     ``"serial"``
         Everything inline, zero copies.
-    ``"thread"``
-        Workers share the address space; each worker thread selects its
-        own submatrix from the live matrix (no serialization at all).
     ``"process"``
         The matrix is published once to a :class:`SharedMatrixStore`
         (lazily, on the first ``map``); each task ships a handle plus
         its index array — 8 bytes per selected nonzero instead of the
         24-plus of a pickled submatrix, and nothing at all for the
         nonzero values.
-    ``"process-pickle"``
-        The legacy path: the parent selects and pickles each submatrix.
-        Kept as the portable fallback and as the benchmark baseline the
-        shared-memory path is measured against.
     """
 
     def __init__(
@@ -1166,7 +1029,7 @@ class MatrixExecutor:
         """Release executor-held references.
 
         The store itself is cached on the matrix (published once, see
-        :meth:`SharedMatrixStore.for_matrix`) and the pools are shared —
+        :meth:`SharedMatrixStore.for_matrix`) and the pool is shared —
         :func:`shutdown_pools` / :func:`close_matrix_stores` own both
         lifetimes, so closing an executor is free and repeated calls
         against one matrix never republish.
@@ -1177,11 +1040,6 @@ class MatrixExecutor:
         if self._store is None:
             self._store = SharedMatrixStore.for_matrix(self.matrix)
         return self._store.handle
-
-    def _sub(self, indices) -> SparseMatrix:
-        if indices is None:
-            return self.matrix
-        return self.matrix.select(indices)
 
     # ------------------------------------------------------------------ #
     def map(self, fn, tasks: list, validate=None) -> list:
@@ -1200,30 +1058,30 @@ class MatrixExecutor:
             # A single task gains nothing from any pool; run it inline
             # and skip the payload round-trip entirely.
             return self._map_inline(fn, tasks, validate)
-        if self.policy.active:
-            return self._map_resilient(fn, tasks, validate)
-        if self.backend == "thread":
-            items = [
-                (self.matrix, fn, idx, extra) for idx, extra in tasks
-            ]
-            values = list(pool_map("thread", self.jobs, _thread_task, items))
-            return self._validated(values, validate)
-        if self.backend == "process":
-            handle = self._handle()
-            items = [
-                (handle, fn, idx, extra) for idx, extra in tasks
-            ]
-        else:  # process-pickle
-            items = [(fn, self._sub(idx), extra) for idx, extra in tasks]
+        handle = self._handle()
+        items = [(handle, fn, idx, extra) for idx, extra in tasks]
         _account(items)
-        worker = _shm_task if self.backend == "process" else _pickle_task
+        if self.policy.active:
+            # The hardened path: per-task dispatch (no chunking — the
+            # watchdog needs per-task deadlines), retried per the policy
+            # and, with the budget exhausted, recomputed inline from the
+            # parent-held matrix, so ``map`` always returns a full,
+            # validated result list.
+            values, failures = resilient_map(
+                self.jobs, _shm_task, items, policy=self.policy,
+                fallback=lambda i: _inline_task(self.matrix, fn, *tasks[i]),
+                validate=validate,
+            )
+            for records in failures:
+                self.failures.extend(records)
+            return values
         # Batch small tasks per pipe round-trip (map preserves order for
         # any chunksize): a p = 64 schedule on 2 workers would otherwise
         # pay 64 dispatch round-trips of per-task fixed cost.
         chunksize = max(1, len(items) // (4 * self.jobs))
         try:
             values = list(
-                pool_map("process", self.jobs, worker, items, chunksize)
+                pool_map("process", self.jobs, _shm_task, items, chunksize)
             )
         except BrokenProcessPool:
             # A worker died (OOM, signal): drop the poisoned pool so the
@@ -1231,10 +1089,6 @@ class MatrixExecutor:
             # owned by this process and cleaned by close_matrix_stores().
             drop_process_pool()
             raise
-        return self._validated(values, validate)
-
-    @staticmethod
-    def _validated(values: list, validate) -> list:
         if validate is not None:
             for i, value in enumerate(values):
                 validate(i, value)
@@ -1268,53 +1122,3 @@ class MatrixExecutor:
                     ))
                     time.sleep(self.policy.delay_for(attempt))
         return out
-
-    def _map_resilient(self, fn, tasks: list, validate) -> list:
-        """Per-task dispatch under deadlines/retries (the hardened path).
-
-        Tasks are submitted individually (no chunking — the watchdog
-        needs per-task deadlines), retried per :attr:`policy`, and — with
-        the budget exhausted — recomputed inline from the parent-held
-        matrix, so ``map`` always returns a full, validated result list.
-        """
-        if self.backend == "thread":
-            kind, worker = "thread", _thread_task
-            items = [(self.matrix, fn, idx, extra) for idx, extra in tasks]
-        elif self.backend == "process":
-            kind, worker = "process", _shm_task
-            handle = self._handle()
-            items = [(handle, fn, idx, extra) for idx, extra in tasks]
-            _account(items)
-        else:  # process-pickle
-            kind, worker = "process", _pickle_task
-            items = [(fn, self._sub(idx), extra) for idx, extra in tasks]
-            _account(items)
-
-        def fallback(i: int):
-            idx, extra = tasks[i]
-            return _inline_task(self.matrix, fn, idx, extra)
-
-        values, failures = resilient_map(
-            kind, self.jobs, worker, items,
-            policy=self.policy, fallback=fallback, validate=validate,
-        )
-        for records in failures:
-            self.failures.extend(records)
-        return values
-
-    def payload_nbytes(self, tasks: list) -> int:
-        """Bytes :meth:`map` would ship for ``tasks`` (without running).
-
-        Zero for inline backends; for process backends, the pickled size
-        of the exact task tuples ``map`` dispatches.
-        """
-        if not tasks or self.backend in ("serial", "thread") or len(tasks) == 1:
-            return 0
-        if self.backend == "process":
-            items = [(self._handle(), None, idx, extra) for idx, extra in tasks]
-        else:
-            items = [(None, self._sub(idx), extra) for idx, extra in tasks]
-        return sum(
-            len(pickle.dumps(it, protocol=pickle.HIGHEST_PROTOCOL))
-            for it in items
-        )

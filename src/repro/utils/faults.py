@@ -26,8 +26,8 @@ Fault kinds
     ``"crash"`` SIGKILLs the current process (downgraded to an
     exception in the installing process itself, so a serial run never
     kills the test runner); ``"hang"`` blocks for ``delay`` seconds on
-    an interruptible event (killed workers never return; abandoned
-    thread workers are released when the plan is uninstalled);
+    an interruptible event (killed workers never return; an in-process
+    hang is released when the plan is uninstalled);
     ``"shm"`` raises :class:`FileNotFoundError`, emulating an
     evicted/unlinked shared-memory segment at the attach boundary;
     ``"poison"`` deterministically corrupts the payload passed through
@@ -149,7 +149,7 @@ _HITS: dict[str, int] = {}
 _PLAN_CACHE: tuple[str, tuple[FaultRule, ...]] | None = None
 
 #: Interruptible-hang release: uninstalling a plan sets this, waking any
-#: abandoned thread workers still sleeping inside an injected hang.
+#: in-process caller still sleeping inside an injected hang.
 _RELEASE = threading.Event()
 
 
@@ -159,7 +159,7 @@ def reset() -> None:
 
 
 def release_hangs() -> None:
-    """Wake every in-process injected hang (abandoned thread workers)."""
+    """Wake every in-process injected hang."""
     _RELEASE.set()
 
 
@@ -255,12 +255,10 @@ def _with_installer(rule: FaultRule, pid: int) -> FaultRule:
 # Firing
 # --------------------------------------------------------------------- #
 def _in_worker() -> bool:
-    """Whether this thread/process is one of the layer's pool workers."""
+    """Whether this process is one of the layer's pool workers."""
     from repro.utils import executor
 
-    if executor._IS_POOL_WORKER:
-        return True
-    return bool(getattr(executor._TLS, "in_worker", False))
+    return executor._IS_POOL_WORKER
 
 
 def _rate_hash(seed: int, point: str, hit: int) -> float:
@@ -372,7 +370,7 @@ def _fire(rule: FaultRule, name: str, payload):
     if rule.kind == "crash":
         if os.getpid() != rule.installer_pid:
             # Flush nothing, die like an OOM kill.  Never in the
-            # installing process itself: a serial/thread run there must
+            # installing process itself: a serial run there must
             # see a failure, not lose the whole test runner.
             os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(60)  # pragma: no cover - the signal is fatal

@@ -35,7 +35,7 @@ from repro.utils.faults import FaultRule
 
 pytestmark = pytest.mark.chaos
 
-BACKENDS = ("process", "thread")
+BACKENDS = ("process",)
 
 #: Deadline for "this must not hang" assertions: generous vs the 1 s
 #: task timeout used below, tiny vs the 60 s injected hangs.
@@ -186,17 +186,14 @@ SWEEP_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("point,kind", SWEEP_FAULTS)
 def test_sweep_recovers_bit_identical(
-    tmp_path, specs, sweep_reference, backend, point, kind
+    tmp_path, specs, sweep_reference, point, kind
 ):
-    if backend == "thread" and point == "shm.attach":
-        pytest.skip("thread sweeps do not attach shared memory")
     rule = _once(tmp_path, point, kind)
     with faults.install([rule]):
-        records = list(run_sweep(specs, jobs=2, exec_backend=backend,
-                                 task_timeout=60.0, retries=2))
+        records = list(run_sweep(specs, jobs=2, task_timeout=60.0,
+                                 retries=2))
     assert _strip(records) == sweep_reference
     if point != "shm.attach":
         # The by-name fallback absorbs attach faults silently (that is

@@ -96,9 +96,7 @@ def test_jobs_and_exec_backend_are_noops():
         matrix, 4, algo="kway", config=cfg, seed=SEED, jobs=1,
         exec_backend="serial",
     )
-    for jobs, exec_backend in [
-        (2, "thread"), (2, "process-pickle"), (4, "process")
-    ]:
+    for jobs, exec_backend in [(2, "process"), (4, "process")]:
         res = partition(
             matrix, 4, algo="kway", config=cfg, seed=SEED,
             jobs=jobs, exec_backend=exec_backend,

@@ -140,12 +140,9 @@ class TestRunSweep:
         with pytest.raises(EvaluationError):
             resolve_jobs(-2)
 
-    def test_thread_backend_bit_identical(self, specs, serial_records):
-        threaded = list(run_sweep(specs, jobs=2, exec_backend="thread"))
-        assert _norm(threaded) == _norm(serial_records)
-
     def test_unknown_exec_backend_rejected(self, specs):
-        with pytest.raises(EvaluationError):
+        # Sweep workers are always processes: there is no backend knob.
+        with pytest.raises(TypeError):
             list(run_sweep(specs, jobs=2, exec_backend="mpi"))
 
 
@@ -310,9 +307,9 @@ class TestSweepFingerprint:
     def test_resilience_knobs_do_not_change_identity(self):
         base = self._spec()
         assert self._spec(task_timeout=30.0, retries=2) == base
-        assert self._spec(jobs=8, exec_backend="thread") == base
+        assert self._spec(jobs=8, exec_backend="serial") == base
         assert self._spec(
-            jobs=4, exec_backend="process-pickle",
+            jobs=4, exec_backend="process",
             task_timeout=5.0, retries=1,
         ) == base
 

@@ -66,7 +66,7 @@ def _assert_single_stitched_tree(records, root_name):
 
 
 class TestPartitionPropagation:
-    @pytest.mark.parametrize("backend", ("process", "thread"))
+    @pytest.mark.parametrize("backend", ("process",))
     def test_jobs2_yields_one_stitched_tree(
         self, tmp_path, matrix, reference, backend
     ):
@@ -87,11 +87,8 @@ class TestPartitionPropagation:
         assert "worker.bisect" in names or "worker.subtree" in names
         assert any(n.startswith("multilevel.") for n in names)
         assert any(n.startswith("fm.") for n in names)
-        if backend == "process":
-            pids = {r["pid"] for r in records}
-            assert len(pids) > 1, (
-                "expected spans minted in forked workers"
-            )
+        pids = {r["pid"] for r in records}
+        assert len(pids) > 1, "expected spans minted in forked workers"
 
     def test_worker_spans_nest_under_parent_process_span(
         self, tmp_path, matrix
@@ -152,8 +149,7 @@ class TestSweepPropagation:
         enable(str(path))
         try:
             with trace_mod.span("sweep"):
-                records_out = list(run_sweep(
-                    specs, jobs=2, exec_backend="process"))
+                records_out = list(run_sweep(specs, jobs=2))
         finally:
             disable()
         assert len(records_out) == len(specs)

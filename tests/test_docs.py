@@ -94,3 +94,27 @@ def test_named_paths_exist(doc):
         if _PATH.match(token) and not (REPO_ROOT / token).exists():
             missing.append(token)
     assert not missing, f"{_doc_id(doc)}: nonexistent paths: {missing}"
+
+
+def test_exec_backend_choices_match_usage():
+    """The ``--exec-backend {...}`` list in docs/usage.md is the live
+    registry, not a copy that drifts when a backend comes or goes."""
+    from repro.utils.executor import EXEC_BACKEND_CHOICES
+
+    text = (REPO_ROOT / "docs" / "usage.md").read_text(encoding="utf-8")
+    lists = re.findall(r"--exec-backend \{([^}]*)\}", text)
+    assert lists, "docs/usage.md no longer documents --exec-backend {...}"
+    for listed in lists:
+        assert tuple(listed.split(",")) == EXEC_BACKEND_CHOICES
+
+
+#: Names of removed execution paths and options; a doc that still
+#: mentions one describes code that no longer exists.
+_REMOVED_NAMES = ("process-pickle", "--serve-backend", "resilient_call")
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_id)
+def test_no_removed_execution_names(doc):
+    text = doc.read_text(encoding="utf-8")
+    stale = [name for name in _REMOVED_NAMES if name in text]
+    assert not stale, f"{_doc_id(doc)}: mentions removed names: {stale}"

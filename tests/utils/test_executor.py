@@ -1,6 +1,6 @@
 """The shared execution layer: store, backends, budget, failure paths.
 
-The layer's one contract is *invisibility*: every backend delivers the
+The layer's one contract is *invisibility*: both backends deliver the
 same submatrices to the same tasks, so results are bit-identical and the
 backend/jobs knobs are pure speed knobs.  These tests pin that, plus the
 parts that only show up when things go wrong — worker crashes must not
@@ -13,15 +13,18 @@ import os
 import numpy as np
 import pytest
 
+from repro.errors import DegradedExecution, ExecutionError
 from repro.sparse.generators import erdos_renyi
 from repro.utils.executor import (
     EXEC_BACKEND_CHOICES,
     JobsBudget,
     MatrixExecutor,
+    RetryPolicy,
     SharedMatrixStore,
     close_matrix_stores,
     payload_audit,
     process_pool,
+    resilient_map,
     resolve_exec_backend,
     shutdown_pools,
 )
@@ -43,6 +46,23 @@ def _nnz_and_rowsum(sub, extra):
 
 def _crash(sub, extra):
     os._exit(1)  # simulate a worker killed by OOM / signal
+
+
+def _always_raise(item):
+    raise RuntimeError(f"task {item} always fails")
+
+
+def _double(item):
+    return 2 * item
+
+
+def _nested_partition(seed):
+    """A pool worker running its own process-backed parallel recursion."""
+    from repro.core.recursive import partition
+
+    matrix = erdos_renyi(60, 60, 400, seed=SEED)
+    res = partition(matrix, 8, seed=seed, jobs=2, exec_backend="process")
+    return res.parts
 
 
 class TestJobsBudget:
@@ -86,7 +106,7 @@ class TestJobsBudget:
 
 class TestResolveExecBackend:
     def test_auto_resolves_to_a_concrete_backend(self):
-        assert resolve_exec_backend("auto") in ("thread", "process")
+        assert resolve_exec_backend("auto") == "process"
 
     def test_explicit_choices_pass_through(self):
         for spec in EXEC_BACKEND_CHOICES[1:]:
@@ -149,9 +169,7 @@ class TestSharedMatrixStore:
 class TestMatrixExecutorBackends:
     """Every backend returns identical, ordered results."""
 
-    @pytest.mark.parametrize(
-        "backend", ["serial", "thread", "process", "process-pickle"]
-    )
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_map_matches_serial(self, matrix, backend):
         idx = np.arange(matrix.nnz, dtype=np.int64)
         tasks = [
@@ -175,19 +193,6 @@ class TestMatrixExecutorBackends:
         with MatrixExecutor(matrix, jobs=2, backend="process") as ex:
             assert ex.map(_nnz_and_rowsum, []) == []
 
-    def test_shm_payload_smaller_than_pickled(self, matrix):
-        """The point of the store: handles + indices beat submatrices."""
-        idx = np.arange(matrix.nnz, dtype=np.int64)
-        tasks = [(idx[: matrix.nnz // 2], 0), (idx[matrix.nnz // 2:], 1)]
-        with MatrixExecutor(matrix, 2, "process") as shm_ex, \
-                MatrixExecutor(matrix, 2, "process-pickle") as pkl_ex:
-            shm_bytes = shm_ex.payload_nbytes(tasks)
-            pkl_bytes = pkl_ex.payload_nbytes(tasks)
-        assert 0 < shm_bytes < pkl_bytes
-        # A pickled submatrix carries rows+cols+vals (24 B per nonzero);
-        # the handle path carries the int64 indices only.
-        assert pkl_bytes > 2.5 * shm_bytes
-
     def test_payload_audit_counts_dispatches(self, matrix):
         idx = np.arange(matrix.nnz, dtype=np.int64)
         tasks = [(idx[::2], 0), (idx[1::2], 1)]
@@ -196,8 +201,8 @@ class TestMatrixExecutorBackends:
                 ex.map(_nnz_and_rowsum, tasks)
         assert audit["tasks"] == 2
         assert audit["bytes"] > 0
-        # Inline backends ship nothing.
-        with MatrixExecutor(matrix, 2, "thread") as ex:
+        # Inline execution ships nothing.
+        with MatrixExecutor(matrix, 1, "process") as ex:
             with payload_audit() as audit:
                 ex.map(_nnz_and_rowsum, tasks)
         assert audit == {"bytes": 0, "tasks": 0}
@@ -285,42 +290,15 @@ class TestFailurePaths:
         # And the layer comes back after a full shutdown.
         assert process_pool(2) is process_pool(2)
 
-    def test_nested_thread_backend_does_not_deadlock(self, matrix):
-        """A thread-pool worker requesting the thread pool again (the
-        sweep x recursion composition under the thread backend) must get
-        a private pool, not the exhausted shared one — handing back the
-        shared pool deadlocks permanently: every worker blocks on
-        futures only the workers themselves could run."""
-        from repro.utils.executor import thread_pool
-
-        idx = np.arange(matrix.nnz, dtype=np.int64)
-        tasks = [(idx[::2], 0), (idx[1::2], 1)]
-
-        def outer(tag):
-            with MatrixExecutor(matrix, jobs=2, backend="thread") as ex:
-                return (tag, ex.map(_nnz_and_rowsum, tasks))
-
-        pool = thread_pool(2)
-        futs = [pool.submit(outer, t) for t in ("a", "b")]
-        done = [f.result(timeout=120) for f in futs]
-        assert [d[0] for d in done] == ["a", "b"]
-        assert done[0][1] == done[1][1]
-
-    def test_nested_partition_in_thread_pool(self, matrix):
-        """Full nested composition: thread workers each running a
-        thread-backed parallel recursion, bit-identical to serial."""
+    def test_nested_partition_in_process_pool(self, matrix):
+        """Full nested composition: pool workers each running a
+        process-backed parallel recursion on an inner pool of their own,
+        bit-identical to serial."""
         from repro.core.recursive import partition
-        from repro.utils.executor import thread_pool
+        from repro.utils.executor import pool_submit
 
         ref = partition(matrix, 8, seed=SEED, jobs=1)
-
-        def run(_):
-            return partition(
-                matrix, 8, seed=SEED, jobs=2, exec_backend="thread"
-            ).parts
-
-        pool = thread_pool(2)
-        futs = [pool.submit(run, i) for i in range(2)]
+        futs = [pool_submit(2, _nested_partition, SEED) for _ in range(2)]
         for f in futs:
             np.testing.assert_array_equal(ref.parts, f.result(timeout=120))
 
@@ -348,9 +326,7 @@ class TestFailurePaths:
 class TestRecursionIntegration:
     """partition() through each backend: the end-to-end invisibility."""
 
-    @pytest.mark.parametrize(
-        "backend", ["thread", "process", "process-pickle"]
-    )
+    @pytest.mark.parametrize("backend", ["process"])
     def test_partition_bit_identical(self, matrix, backend):
         from repro.core.recursive import partition
 
@@ -363,5 +339,34 @@ class TestRecursionIntegration:
         from repro.errors import PartitioningError
         from repro.partitioner.config import PartitionerConfig
 
-        with pytest.raises(PartitioningError):
-            PartitionerConfig(exec_backend="mpi")
+        # The thread and pickled-payload backends were removed.
+        for backend in ("mpi", "thread", "process-pickle"):
+            with pytest.raises(PartitioningError):
+                PartitionerConfig(exec_backend=backend)
+
+
+class TestResilientMapRefusal:
+    """``fallback=None``: the serving daemon's no-inline-rung dispatch."""
+
+    def test_exhausted_budget_raises_with_attempt_records(self):
+        with pytest.raises(DegradedExecution) as info:
+            resilient_map(
+                2, _always_raise, [7], policy=RetryPolicy(retries=1),
+                fallback=None, labels=["req"],
+            )
+        exc = info.value
+        assert exc.task == "req"
+        assert len(exc.failures) == 2
+        assert [f.attempt for f in exc.failures] == [1, 2]
+        assert all(isinstance(f, ExecutionError) for f in exc.failures)
+        assert not any(
+            isinstance(f, DegradedExecution) for f in exc.failures
+        )
+
+    def test_healthy_task_returns_its_value(self):
+        values, failures = resilient_map(
+            2, _double, [21], policy=RetryPolicy(retries=1),
+            fallback=None,
+        )
+        assert values == [42]
+        assert failures == [[]]

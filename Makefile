@@ -2,10 +2,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-python-fallback test-chaos serve-smoke bench-regress \
-        bench-regress-update bench bench-e2e bench-e2e-update \
-        bench-e2e-smoke bench-e2e-smoke-python bench-serve \
-        bench-serve-update perfbench-selftest
+.PHONY: test test-python-fallback test-chaos serve-smoke bench \
+        bench-e2e-update bench-e2e-smoke bench-e2e-smoke-python \
+        bench-serve bench-serve-update perfbench-selftest
 
 # Tier-1 verification: the fast test suite (bench/chaos deselected).
 test:
@@ -32,24 +31,10 @@ serve-smoke:
 test-python-fallback:
 	CC=false $(PYTHON) -m pytest -x -q
 
-# Compare current kernel timings against the committed BENCH_kernels.json;
-# exits non-zero on a >25% regression in any kernel.
-bench-regress:
-	$(PYTHON) -m benchmarks.bench_regress --check
-
-# Re-time the kernels and rewrite BENCH_kernels.json (commit the result).
-bench-regress-update:
-	$(PYTHON) -m benchmarks.bench_regress
-
-# Compare current *end-to-end pipeline* timings (split -> partition ->
-# refine -> volume -> vector distribution -> verified SpMV, serial sweep)
-# against the committed BENCH_e2e.json; exits non-zero on a >50%
-# regression (whole-pipeline wall clock is noisier than kernel timings).
-bench-e2e:
-	$(PYTHON) -m benchmarks.bench_e2e --check
-
-# Re-time the full pipeline (serial + parallel sweep + frozen pre-PR
-# baseline) and rewrite BENCH_e2e.json (commit the result).
+# Re-time direct k-way (flat and multilevel) against recursive
+# bisection and rewrite the kway / kway_ml sections of BENCH_e2e.json;
+# exits non-zero when the multilevel stage misses its quality or speed
+# gate (commit the result).
 bench-e2e-update:
 	$(PYTHON) -m benchmarks.bench_e2e
 

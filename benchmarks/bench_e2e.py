@@ -1,73 +1,39 @@
-"""End-to-end pipeline benchmark: the whole-sweep perf trajectory.
+"""Direct k-way vs recursive bisection, and the execution-layer smoke.
 
-Where ``bench_regress`` times isolated kernels, this times the *full
-pipeline* a paper-style experiment runs per (instance, seed):
+The repository's timing benchmark is ``perfbench/`` (see
+``BENCHMARK.json``).  This harness keeps the two things it does not do:
 
-    split -> medium-grain build -> multilevel partition ->
-    iterative refinement -> volume -> vector distribution ->
-    verified SpMV simulation
+**The k-way head-to-heads** (``python -m benchmarks.bench_e2e``).  Per
+(matrix, p) on the bench set plus the k-diagonal structured instance,
+the direct k-way partitioner (``algo="kway"`` — :mod:`repro.core.kway`)
+runs against recursive bisection at the same p, twice:
 
-once per seed, three ways:
+``kway``
+    The flat single-level pipeline (``kway_vcycles=0``).  Records the
+    volume ratio ``kway / recursive`` and the speedup; not gated.
+``kway_ml``
+    The multilevel engine (``kway_vcycles=KWAY_ML_VCYCLES``).  *Gated at
+    generation time*: geomean volume ratio <= ``KWAY_ML_RATIO_GATE`` AND
+    geomean speedup >= ``KWAY_ML_SPEEDUP_GATE``.
+    ``tests/test_bench_e2e.py`` re-asserts the committed numbers.
 
-``baseline_serial_s``
-    The pre-PR pipeline (frozen kernels and dict-based SpMV simulation
-    from :mod:`benchmarks._baseline_e2e`), executed serially.
-``current_serial_s``
-    The live pipeline through the sweep engine with ``jobs=1``.
-``current_parallel_s``
-    The live pipeline through the sweep engine with ``--jobs`` workers
-    (default 2).  On a single-core container this is expected to be
-    *slower* than serial (process startup, no parallel hardware); it is
-    recorded so the trajectory shows real parallel behaviour wherever
-    the benchmark runs.
+Before any timing is trusted, every cell checks that the k-way
+partition is bit-identical across every kernel backend, execution
+backend and ``jobs`` value (the partitioner has no recursion tree, so
+the knobs must be exact no-ops) and that every part respects the
+eqn-(1) ceiling.  Timings are interleaved min-of wall clocks.  The
+result is written to the ``kway`` and ``kway_ml`` sections of
+``BENCH_e2e.json``.
 
-Every run is verified before its timing is trusted: the simulated SpMV
-volume must equal the partitioner's volume, the baseline volumes must be
-bit-identical to the live ones (the kernel contract), and the parallel
-sweep's records must equal the serial sweep's (modulo measured seconds).
-
-A third stage benchmarks the **direct k-way partitioner**
-(``algo="kway"`` — :mod:`repro.core.kway`) head-to-head against
-recursive bisection at the same p values, on the bench set plus the
-k-diagonal structured instance: per (matrix, p) it verifies the k-way
-result is bit-identical across every kernel backend, execution backend
-and ``jobs`` value (the partitioner has no recursion tree, so the knobs
-must be exact no-ops), that every part respects the eqn-(1) ceiling,
-and records interleaved min-of wall clocks and the volume ratio
-``kway / recursive`` — the quality/speed trade-off the ROADMAP's
-bisection-vs-direct comparison asks for.
-
-A fourth stage (``kway-ml``) benchmarks the **multilevel** direct k-way
-engine (``algo="kway"`` with ``kway_vcycles >= 1`` —
-:func:`repro.partitioner.multilevel.multilevel_kway`) against recursive
-bisection on the same grid.  Where the flat k-way stage above trades
-volume for speed, the multilevel stage must close the quality gap while
-keeping a decisive speed edge; both sides are *gated at generation
-time*: geomean volume ratio <= ``KWAY_ML_RATIO_GATE`` AND geomean
-speedup >= ``KWAY_ML_SPEEDUP_GATE``, plus the usual bit-identity
-(kernel backends, exec backends, jobs) and eqn-(1) feasibility checks
-per cell.  ``tests/test_bench_e2e.py`` re-asserts the committed
-numbers under ``pytest -m bench``.
-
-A second stage times **p-way recursive bisection** (p in {4, 16, 64} —
-the paper's Fig. 6b / Table II workload) three ways on every bench
-matrix: the frozen pre-PR serial recursion
-(:func:`benchmarks._baseline_e2e.baseline_partition` — traversal-order
-seed stream over the frozen kernels), the live engine serially
-(``jobs=1``), and the live engine on a worker pool (``--jobs``).  The
-live serial and parallel partitions are asserted bit-identical (the
-position-keyed seed streams guarantee it); the frozen baseline follows
-the *old* seed discipline, so its volumes are recorded rather than
-asserted.  ``speedup_parallel`` is the intra-matrix speedup of the
-parallel engine over the frozen serial baseline — on multi-core hardware
-it compounds the kernel gains with real concurrency; on a single-core
-container it degenerates to the kernel gains minus pool overhead.
+**The CI smoke** (``--smoke``): tiny instances, every kernel backend on
+the process pool with ``--jobs`` workers, gated on completion and
+bit-identity only, plus one injected-crash retry run and the watchdog
+overhead gate.
 
 Usage::
 
     python -m benchmarks.bench_e2e              # write BENCH_e2e.json
-    python -m benchmarks.bench_e2e --check      # compare vs. committed
-    make bench-e2e                              # the --check mode
+    python -m benchmarks.bench_e2e --smoke      # CI smoke, no JSON
 """
 
 from __future__ import annotations
@@ -75,20 +41,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks._baseline_e2e import (
-    BASELINE_BACKEND,
-    baseline_distribute_vectors,
-    baseline_lambda_kernels,
-    baseline_partition,
-    baseline_simulate_spmv,
-)
-from repro.core.methods import bipartition
 from repro.core.recursive import partition
 from repro.core.volume import max_allowed_part_size
 from repro.eval.geomean import geometric_mean as _geomean
@@ -101,28 +61,28 @@ from repro.utils.rng import spawn_seeds
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_e2e.json"
-#: One matrix per paper class plus the matching-heavy Chung-Lu square —
-#: the adversarial case where scalar partitioning dominates end to end.
+#: One matrix per paper class plus the matching-heavy Chung-Lu square.
 DEFAULT_MATRICES = ("sym_grid2d_l", "sqr_band_l", "rec_td_med_b", "sqr_cl_m")
+#: Extra instances for the k-way stages on top of the bench set: the
+#: structured k-diagonal case — long off-diagonals are where
+#: contiguous-block bisection and direct k-way genuinely diverge.
+KWAY_EXTRA_MATRICES = ("sym_kdiag_m",)
 BASE_SEED = 2014
-#: Recursive-bisection depths of the p-way stage (the paper's Fig. 6b /
-#: Table II run at p = 64; 4 and 16 chart how speedup grows with depth).
-PWAY_PARTS = (4, 16, 64)
-PIPELINE = (
-    "split -> medium-grain build -> multilevel partition -> "
-    "iterative refinement -> volume -> vector distribution -> "
-    "verified SpMV simulation"
-)
+#: Part counts of the k-way stages (the paper's Fig. 6b / Table II run
+#: at p = 64; 4 and 16 chart how the trade-off moves with p).
+KWAY_PARTS = (4, 16, 64)
 
-
-def _best_of(repeats: int, fn) -> float:
-    """Minimum wall-clock seconds of ``repeats`` calls (noise-robust)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+#: V-cycle count of the multilevel k-way (``kway_ml``) rows: one full
+#: multilevel construction, no extra restricted V-cycles.  Measured as
+#: the knee of the quality/speed curve on the bench set — ``vcycles=2``
+#: buys ~3% more volume for roughly half the speed advantage, dropping
+#: below the 2x gate.
+KWAY_ML_VCYCLES = 1
+#: Generation-time gates of the kway_ml stage: the multilevel engine
+#: must land within 10% of recursive bisection's volume (geomean over
+#: every (matrix, p) cell) while running at least twice as fast.
+KWAY_ML_RATIO_GATE = 1.1
+KWAY_ML_SPEEDUP_GATE = 2.0
 
 
 def _class_of(name: str) -> str:
@@ -151,161 +111,16 @@ def make_specs(name: str, seeds: list[int]) -> list[RunSpec]:
     ]
 
 
-def baseline_pipeline(matrix, seed: int) -> int:
-    """One pre-PR end-to-end run; returns the communication volume."""
-    cfg = dataclasses.replace(
-        get_config("mondriaan"), kernel_backend=BASELINE_BACKEND
-    )
-    with baseline_lambda_kernels():
-        res = bipartition(
-            matrix, method="mediumgrain", refine=True, config=cfg, seed=seed
-        )
-        dist = baseline_distribute_vectors(matrix, res.parts, 2)
-        _, words_fanout, words_fanin = baseline_simulate_spmv(
-            matrix, res.parts, 2, dist
-        )
-    if words_fanout + words_fanin != res.volume:
-        raise AssertionError(
-            "baseline simulated volume disagrees with partitioner volume"
-        )
-    return res.volume
+def _kway_tag(kway_vcycles: int) -> str:
+    """Key suffix of a k-way stage: ``kway`` (flat) or ``kway_ml``."""
+    return "kway_ml" if kway_vcycles else "kway"
 
 
-def bench_matrix(
-    name: str, seeds: list[int], repeats: int, jobs: int,
-    current_only: bool = False,
+def bench_kway_matrix(
+    name: str, ps, repeats: int, jobs: int, kway_vcycles: int
 ) -> dict:
-    """Time the three pipeline variants on one matrix."""
-    matrix = load_instance(name)
-    specs = make_specs(name, seeds)
-
-    serial_records = list(run_sweep(specs, jobs=1))  # warm caches
-    current_volumes = [r.volume for r in serial_records]
-
-    def run_serial():
-        return list(run_sweep(specs, jobs=1))
-
-    entry: dict = {
-        "nnz": matrix.nnz,
-        "volumes": current_volumes,
-    }
-    if current_only:
-        entry["current_serial_s"] = round(_best_of(repeats, run_serial), 6)
-        return entry
-
-    # Baseline (pre-PR) serial pipeline — verified bit-identical first.
-    baseline_volumes = [baseline_pipeline(matrix, s) for s in seeds]
-    if baseline_volumes != current_volumes:
-        raise AssertionError(
-            f"{name}: baseline volumes {baseline_volumes} != current "
-            f"{current_volumes} — kernels drifted, timings meaningless"
-        )
-
-    def run_baseline():
-        for s in seeds:
-            baseline_pipeline(matrix, s)
-
-    # Interleave the two serial measurements: machine-load drift over
-    # the benchmark's runtime then biases both sides equally instead of
-    # whichever variant happened to run in the slow phase.
-    best_cur = float("inf")
-    best_base = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run_serial()
-        best_cur = min(best_cur, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_baseline()
-        best_base = min(best_base, time.perf_counter() - t0)
-    entry["current_serial_s"] = round(best_cur, 6)
-    entry["baseline_serial_s"] = round(best_base, 6)
-    entry["speedup_serial"] = round(
-        entry["baseline_serial_s"] / entry["current_serial_s"], 3
-    ) if entry["current_serial_s"] > 0 else float("inf")
-
-    # Parallel sweep — verified bit-identical to serial, then timed.
-    parallel_records = list(run_sweep(specs, jobs=jobs))
-    strip = lambda rs: [dataclasses.replace(r, seconds=0.0) for r in rs]
-    entry["parallel_bit_identical"] = (
-        strip(parallel_records) == strip(serial_records)
-    )
-    if not entry["parallel_bit_identical"]:
-        raise AssertionError(
-            f"{name}: parallel sweep records differ from serial"
-        )
-
-    def run_parallel():
-        return list(run_sweep(specs, jobs=jobs))
-
-    entry["current_parallel_s"] = round(
-        _best_of(max(1, repeats - 1), run_parallel), 6
-    )
-    return entry
-
-
-def bench_pway_matrix(
-    name: str, ps, repeats: int, jobs: int
-) -> dict:
-    """Time p-way recursive bisection three ways on one matrix.
-
-    The live serial and parallel runs must be bit-identical (asserted);
-    the frozen baseline follows the pre-PR traversal-order seed stream,
-    so only its timing and volume are recorded.  The three variants are
-    interleaved per repeat so machine-load drift biases them equally.
-    """
-    matrix = load_instance(name)
-    entry: dict = {"nnz": matrix.nnz, "by_p": {}}
-    for p in ps:
-        # Warm caches, the persistent worker pool, and verify identity.
-        serial = partition(
-            matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
-        )
-        par = partition(
-            matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=jobs
-        )
-        if not np.array_equal(serial.parts, par.parts):
-            raise AssertionError(
-                f"{name} p={p}: parallel partition differs from serial"
-            )
-        base_parts, base_volume = baseline_partition(
-            matrix, p, method="mediumgrain", seed=BASE_SEED
-        )
-        best = [float("inf")] * 3
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            partition(matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1)
-            best[0] = min(best[0], time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=jobs
-            )
-            best[1] = min(best[1], time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            baseline_partition(matrix, p, method="mediumgrain", seed=BASE_SEED)
-            best[2] = min(best[2], time.perf_counter() - t0)
-        cur_s, par_s, base_s = best
-        entry["by_p"][str(p)] = {
-            "volume": serial.volume,
-            "baseline_volume": base_volume,
-            "parallel_bit_identical": True,
-            "current_serial_s": round(cur_s, 6),
-            "current_parallel_s": round(par_s, 6),
-            "baseline_serial_s": round(base_s, 6),
-            "speedup_serial": round(base_s / cur_s, 3),
-            "speedup_parallel": round(base_s / par_s, 3),
-            "parallel_vs_serial": round(cur_s / par_s, 3),
-        }
-    return entry
-
-
-#: Extra instances for the k-way stage on top of the bench set: the
-#: structured k-diagonal case — long off-diagonals are where
-#: contiguous-block bisection and direct k-way genuinely diverge.
-KWAY_EXTRA_MATRICES = ("sym_kdiag_m",)
-
-
-def bench_kway_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
-    """Direct k-way vs recursive bisection on one matrix.
+    """Direct k-way (``kway_vcycles`` as given) vs recursive bisection
+    on one matrix.
 
     Gates before any timing is trusted, per p:
 
@@ -315,356 +130,168 @@ def bench_kway_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
     * every part respects the eqn-(1) ceiling (``feasible``).
 
     Timings are interleaved min-of wall clocks of the two algorithms;
-    ``volume_ratio`` (kway / recursive) records the quality side of the
-    trade-off.
+    ``volume_ratio`` (k-way / recursive) records the quality side of the
+    trade-off.  Cell keys carry the stage's :func:`_kway_tag` suffix.
     """
+    tag = _kway_tag(kway_vcycles)
     matrix = load_instance(name)
-    entry: dict = {"nnz": matrix.nnz, "by_p": {}}
-    for p in ps:
-        rec = partition(
+    cfg = dataclasses.replace(
+        get_config("mondriaan"), kway_vcycles=kway_vcycles
+    )
+
+    def run_kway(p, config=cfg, **kwargs):
+        return partition(
+            matrix, p, method="mediumgrain", seed=BASE_SEED,
+            config=config, algo="kway", **kwargs,
+        )
+
+    def run_recursive(p):
+        return partition(
             matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
         )
-        kw = partition(
-            matrix, p, method="mediumgrain", seed=BASE_SEED, algo="kway"
-        )
+
+    entry: dict = {"nnz": matrix.nnz, "by_p": {}}
+    for p in ps:
+        rec = run_recursive(p)
+        kw = run_kway(p)
         ceiling = max_allowed_part_size(matrix.nnz, p, 0.03)
         if not kw.feasible or kw.max_part > ceiling:
             raise AssertionError(
-                f"{name} p={p}: kway max part {kw.max_part} exceeds the "
+                f"{name} p={p}: {tag} max part {kw.max_part} exceeds the "
                 f"eqn-(1) ceiling {ceiling}"
             )
-        for kb in available_backends():
-            cfg = dataclasses.replace(
-                get_config("mondriaan"), kernel_backend=kb
-            )
-            res = partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, algo="kway",
-            )
-            if not np.array_equal(kw.parts, res.parts):
+        variants = [
+            (f"kernel backend {kb!r}",
+             {"config": dataclasses.replace(cfg, kernel_backend=kb)})
+            for kb in available_backends()
+        ] + [
+            (f"jobs={jv} exec_backend={eb}", {"jobs": jv, "exec_backend": eb})
+            for jv, eb in ((1, "serial"), (jobs, "process"))
+        ]
+        for label, kwargs in variants:
+            if not np.array_equal(kw.parts, run_kway(p, **kwargs).parts):
                 raise AssertionError(
-                    f"{name} p={p}: kway partition differs under kernel "
-                    f"backend {kb!r}"
-                )
-        for jv, eb in ((1, "serial"), (jobs, "process")):
-            res = partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                algo="kway", jobs=jv, exec_backend=eb,
-            )
-            if not np.array_equal(kw.parts, res.parts):
-                raise AssertionError(
-                    f"{name} p={p}: kway partition differs under "
-                    f"jobs={jv} exec_backend={eb}"
+                    f"{name} p={p}: {tag} partition differs under {label}"
                 )
         best_kw = float("inf")
         best_rec = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                algo="kway",
-            )
+            run_kway(p)
             best_kw = min(best_kw, time.perf_counter() - t0)
             t0 = time.perf_counter()
-            partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
-            )
+            run_recursive(p)
             best_rec = min(best_rec, time.perf_counter() - t0)
-        entry["by_p"][str(p)] = {
-            "volume_kway": kw.volume,
+        cell = {
+            f"volume_{tag}": kw.volume,
             "volume_recursive": rec.volume,
             "volume_ratio": round(kw.volume / rec.volume, 3)
             if rec.volume
             else float("inf"),
-            "kway_s": round(best_kw, 6),
+            f"{tag}_s": round(best_kw, 6),
             "recursive_s": round(best_rec, 6),
-            "speedup_kway": round(best_rec / best_kw, 3)
+            f"speedup_{tag}": round(best_rec / best_kw, 3)
             if best_kw > 0
             else float("inf"),
-            "max_part_kway": kw.max_part,
-            "imbalance_kway": round(kw.imbalance, 6),
+            f"max_part_{tag}": kw.max_part,
+            f"imbalance_{tag}": round(kw.imbalance, 6),
             "ceiling": ceiling,
             "feasible": True,
             "bit_identical": True,
         }
+        if kway_vcycles:
+            cell["method"] = kw.method
+        entry["by_p"][str(p)] = cell
     return entry
 
 
-#: V-cycle count of the multilevel k-way (``kway-ml``) rows: one full
-#: multilevel construction, no extra restricted V-cycles.  Measured as
-#: the knee of the quality/speed curve on the bench set — ``vcycles=2``
-#: buys ~3% more volume for roughly half the speed advantage, dropping
-#: below the 2x gate.
-KWAY_ML_VCYCLES = 1
-#: Generation-time gates of the kway-ml stage: the multilevel engine
-#: must land within 10% of recursive bisection's volume (geomean over
-#: every (matrix, p) cell) while running at least twice as fast.
-KWAY_ML_RATIO_GATE = 1.1
-KWAY_ML_SPEEDUP_GATE = 2.0
-
-
-def bench_kway_ml_matrix(name: str, ps, repeats: int, jobs: int) -> dict:
-    """Multilevel direct k-way vs recursive bisection on one matrix.
-
-    The same contract as :func:`bench_kway_matrix`, with the k-way side
-    running the multilevel engine (``kway_vcycles=KWAY_ML_VCYCLES``)
-    instead of the flat pipeline: per p, the partition must be
-    bit-identical across every available kernel backend, every execution
-    backend, and ``jobs`` in ``{1, jobs}``, and every part must respect
-    the eqn-(1) ceiling.  Timings are interleaved min-of wall clocks;
-    ``volume_ratio`` (kway-ml / recursive) is the quantity the
-    generation-time geomean gates aggregate.
-    """
-    matrix = load_instance(name)
-    ml_cfg = dataclasses.replace(
-        get_config("mondriaan"), kway_vcycles=KWAY_ML_VCYCLES
+def bench_kway_section(
+    names, ps, repeats: int, jobs: int, kway_vcycles: int
+) -> dict:
+    """One k-way stage over every (matrix, p): the cells plus geomeans."""
+    tag = _kway_tag(kway_vcycles)
+    section: dict = {
+        "method": "mediumgrain",
+        "baseline": "recursive",
+        "current": tag.replace("_", "-"),
+    }
+    if kway_vcycles:
+        section["kway_vcycles"] = kway_vcycles
+    section["ps"] = [int(p) for p in ps]
+    section["eps"] = 0.03
+    if kway_vcycles:
+        section["ratio_gate"] = KWAY_ML_RATIO_GATE
+        section["speedup_gate"] = KWAY_ML_SPEEDUP_GATE
+    section["matrices"] = {}
+    for name in names:
+        entry = bench_kway_matrix(name, ps, repeats, jobs, kway_vcycles)
+        section["matrices"][name] = entry
+        for p in ps:
+            e = entry["by_p"][str(p)]
+            print(
+                f"  {name:14s} p={p:<3d} {tag} vol "
+                f"{e[f'volume_{tag}']:>6d} ({e[f'{tag}_s']:7.3f} s)   "
+                f"recursive vol {e['volume_recursive']:>6d} "
+                f"({e['recursive_s']:7.3f} s)  ratio x{e['volume_ratio']:.2f}"
+                f"  speed x{e[f'speedup_{tag}']:.2f}"
+            )
+    cells = [
+        section["matrices"][m]["by_p"][str(p)] for m in names for p in ps
+    ]
+    if kway_vcycles:
+        section["geomean_volume_ratio"] = round(
+            _geomean([c["volume_ratio"] for c in cells]), 3
+        )
+    section["geomean_volume_ratio_by_p"] = {
+        str(p): round(
+            _geomean([
+                section["matrices"][m]["by_p"][str(p)]["volume_ratio"]
+                for m in names
+            ]), 3,
+        )
+        for p in ps
+    }
+    section[f"geomean_speedup_{tag}"] = round(
+        _geomean([c[f"speedup_{tag}"] for c in cells]), 3
     )
-    entry: dict = {"nnz": matrix.nnz, "by_p": {}}
-    for p in ps:
-        rec = partition(
-            matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
-        )
-        kw = partition(
-            matrix, p, method="mediumgrain", seed=BASE_SEED,
-            config=ml_cfg, algo="kway",
-        )
-        ceiling = max_allowed_part_size(matrix.nnz, p, 0.03)
-        if not kw.feasible or kw.max_part > ceiling:
-            raise AssertionError(
-                f"{name} p={p}: kway-ml max part {kw.max_part} exceeds "
-                f"the eqn-(1) ceiling {ceiling}"
-            )
-        for kb in available_backends():
-            cfg = dataclasses.replace(ml_cfg, kernel_backend=kb)
-            res = partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, algo="kway",
-            )
-            if not np.array_equal(kw.parts, res.parts):
-                raise AssertionError(
-                    f"{name} p={p}: kway-ml partition differs under "
-                    f"kernel backend {kb!r}"
-                )
-        for jv, eb in ((1, "serial"), (jobs, "process")):
-            res = partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                config=ml_cfg, algo="kway", jobs=jv, exec_backend=eb,
-            )
-            if not np.array_equal(kw.parts, res.parts):
-                raise AssertionError(
-                    f"{name} p={p}: kway-ml partition differs under "
-                    f"jobs={jv} exec_backend={eb}"
-                )
-        best_kw = float("inf")
-        best_rec = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED,
-                config=ml_cfg, algo="kway",
-            )
-            best_kw = min(best_kw, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            partition(
-                matrix, p, method="mediumgrain", seed=BASE_SEED, jobs=1
-            )
-            best_rec = min(best_rec, time.perf_counter() - t0)
-        entry["by_p"][str(p)] = {
-            "volume_kway_ml": kw.volume,
-            "volume_recursive": rec.volume,
-            "volume_ratio": round(kw.volume / rec.volume, 3)
-            if rec.volume
-            else float("inf"),
-            "kway_ml_s": round(best_kw, 6),
-            "recursive_s": round(best_rec, 6),
-            "speedup_kway_ml": round(best_rec / best_kw, 3)
-            if best_kw > 0
-            else float("inf"),
-            "max_part_kway_ml": kw.max_part,
-            "imbalance_kway_ml": round(kw.imbalance, 6),
-            "ceiling": ceiling,
-            "feasible": True,
-            "bit_identical": True,
-            "method": kw.method,
-        }
-    return entry
+    return section
 
 
 def run_benchmarks(
     matrices=DEFAULT_MATRICES,
-    nseeds: int = 3,
     repeats: int = 3,
     jobs: int = 2,
-    pway_parts=PWAY_PARTS,
+    ps=KWAY_PARTS,
 ) -> dict:
-    """Time every matrix; returns the report dict."""
-    seeds = spawn_seeds(BASE_SEED, nseeds)
-    backend = resolve_backend("auto")
+    """Run both k-way stages; returns the report dict.
+
+    Raises ``AssertionError`` when the ``kway_ml`` stage misses its
+    quality or speed gate.
+    """
+    names = tuple(dict.fromkeys(tuple(matrices) + KWAY_EXTRA_MATRICES))
     report = {
         "schema": 1,
-        "pipeline": PIPELINE,
-        "backend": backend.name,
+        "backend": resolve_backend("auto").name,
         "repeats": repeats,
         "base_seed": BASE_SEED,
-        "seeds": seeds,
-        "jobs_parallel": jobs,
-        "matrices": {},
+        "kway": bench_kway_section(names, ps, repeats, jobs, 0),
+        "kway_ml": bench_kway_section(
+            names, ps, repeats, jobs, KWAY_ML_VCYCLES
+        ),
     }
-    for name in matrices:
-        entry = bench_matrix(name, seeds, repeats, jobs)
-        report["matrices"][name] = entry
-        print(
-            f"  {name:14s} baseline {entry['baseline_serial_s']:7.3f} s   "
-            f"serial {entry['current_serial_s']:7.3f} s   "
-            f"parallel(j{jobs}) {entry['current_parallel_s']:7.3f} s   "
-            f"x{entry['speedup_serial']:.2f}"
-        )
-    speedups = [
-        report["matrices"][m]["speedup_serial"] for m in matrices
-    ]
-    report["geomean_speedup_serial"] = round(_geomean(speedups), 3)
-
-    # p-way recursive-bisection stage.
-    pway: dict = {
-        "method": "mediumgrain",
-        "ps": [int(p) for p in pway_parts],
-        "jobs": jobs,
-        "matrices": {},
-    }
-    for name in matrices:
-        entry = bench_pway_matrix(name, pway_parts, repeats, jobs)
-        pway["matrices"][name] = entry
-        for p in pway_parts:
-            e = entry["by_p"][str(p)]
-            print(
-                f"  {name:14s} p={p:<3d} baseline "
-                f"{e['baseline_serial_s']:7.3f} s   serial "
-                f"{e['current_serial_s']:7.3f} s   parallel(j{jobs}) "
-                f"{e['current_parallel_s']:7.3f} s   "
-                f"x{e['speedup_parallel']:.2f}"
-            )
-    per_p_parallel = {
-        str(p): round(
-            _geomean([
-                pway["matrices"][m]["by_p"][str(p)]["speedup_parallel"]
-                for m in matrices
-            ]), 3,
-        )
-        for p in pway_parts
-    }
-    pway["geomean_speedup_parallel_by_p"] = per_p_parallel
-    pway["geomean_speedup_parallel"] = round(
-        _geomean([
-            pway["matrices"][m]["by_p"][str(p)]["speedup_parallel"]
-            for m in matrices for p in pway_parts
-        ]), 3,
-    )
-    pway["geomean_speedup_serial"] = round(
-        _geomean([
-            pway["matrices"][m]["by_p"][str(p)]["speedup_serial"]
-            for m in matrices for p in pway_parts
-        ]), 3,
-    )
-    report["pway"] = pway
-
-    # Direct k-way vs recursive bisection stage.
-    kway_names = tuple(
-        dict.fromkeys(tuple(matrices) + KWAY_EXTRA_MATRICES)
-    )
-    kway_section: dict = {
-        "method": "mediumgrain",
-        "baseline": "recursive",
-        "current": "kway",
-        "ps": [int(p) for p in pway_parts],
-        "eps": 0.03,
-        "matrices": {},
-    }
-    for name in kway_names:
-        entry = bench_kway_matrix(name, pway_parts, repeats, jobs)
-        kway_section["matrices"][name] = entry
-        for p in pway_parts:
-            e = entry["by_p"][str(p)]
-            print(
-                f"  {name:14s} p={p:<3d} kway vol {e['volume_kway']:>6d} "
-                f"({e['kway_s']:7.3f} s)   recursive vol "
-                f"{e['volume_recursive']:>6d} ({e['recursive_s']:7.3f} s)  "
-                f"ratio x{e['volume_ratio']:.2f}  speed x{e['speedup_kway']:.2f}"
-            )
-    kway_section["geomean_volume_ratio_by_p"] = {
-        str(p): round(
-            _geomean([
-                kway_section["matrices"][m]["by_p"][str(p)]["volume_ratio"]
-                for m in kway_names
-            ]), 3,
-        )
-        for p in pway_parts
-    }
-    kway_section["geomean_speedup_kway"] = round(
-        _geomean([
-            kway_section["matrices"][m]["by_p"][str(p)]["speedup_kway"]
-            for m in kway_names for p in pway_parts
-        ]), 3,
-    )
-    report["kway"] = kway_section
-
-    # Multilevel direct k-way stage — same grid, gated at generation.
-    kway_ml_section: dict = {
-        "method": "mediumgrain",
-        "baseline": "recursive",
-        "current": "kway-ml",
-        "kway_vcycles": KWAY_ML_VCYCLES,
-        "ps": [int(p) for p in pway_parts],
-        "eps": 0.03,
-        "ratio_gate": KWAY_ML_RATIO_GATE,
-        "speedup_gate": KWAY_ML_SPEEDUP_GATE,
-        "matrices": {},
-    }
-    for name in kway_names:
-        entry = bench_kway_ml_matrix(name, pway_parts, repeats, jobs)
-        kway_ml_section["matrices"][name] = entry
-        for p in pway_parts:
-            e = entry["by_p"][str(p)]
-            print(
-                f"  {name:14s} p={p:<3d} kway-ml vol "
-                f"{e['volume_kway_ml']:>6d} ({e['kway_ml_s']:7.3f} s)   "
-                f"recursive vol {e['volume_recursive']:>6d} "
-                f"({e['recursive_s']:7.3f} s)  ratio x{e['volume_ratio']:.2f}"
-                f"  speed x{e['speedup_kway_ml']:.2f}"
-            )
-    ml_cells = [
-        kway_ml_section["matrices"][m]["by_p"][str(p)]
-        for m in kway_names for p in pway_parts
-    ]
-    kway_ml_section["geomean_volume_ratio"] = round(
-        _geomean([c["volume_ratio"] for c in ml_cells]), 3
-    )
-    kway_ml_section["geomean_volume_ratio_by_p"] = {
-        str(p): round(
-            _geomean([
-                kway_ml_section["matrices"][m]["by_p"][str(p)]["volume_ratio"]
-                for m in kway_names
-            ]), 3,
-        )
-        for p in pway_parts
-    }
-    kway_ml_section["geomean_speedup_kway_ml"] = round(
-        _geomean([c["speedup_kway_ml"] for c in ml_cells]), 3
-    )
-    if kway_ml_section["geomean_volume_ratio"] > KWAY_ML_RATIO_GATE:
+    ml = report["kway_ml"]
+    if ml["geomean_volume_ratio"] > KWAY_ML_RATIO_GATE:
         raise AssertionError(
-            f"kway-ml geomean volume ratio "
-            f"{kway_ml_section['geomean_volume_ratio']} exceeds the "
-            f"{KWAY_ML_RATIO_GATE} gate — the multilevel engine lost its "
-            f"quality contract"
+            f"kway-ml geomean volume ratio {ml['geomean_volume_ratio']} "
+            f"exceeds the {KWAY_ML_RATIO_GATE} gate — the multilevel "
+            f"engine lost its quality contract"
         )
-    if kway_ml_section["geomean_speedup_kway_ml"] < KWAY_ML_SPEEDUP_GATE:
+    if ml["geomean_speedup_kway_ml"] < KWAY_ML_SPEEDUP_GATE:
         raise AssertionError(
-            f"kway-ml geomean speedup "
-            f"{kway_ml_section['geomean_speedup_kway_ml']} is below the "
-            f"{KWAY_ML_SPEEDUP_GATE}x gate — the multilevel engine lost "
-            f"its speed contract"
+            f"kway-ml geomean speedup {ml['geomean_speedup_kway_ml']} is "
+            f"below the {KWAY_ML_SPEEDUP_GATE}x gate — the multilevel "
+            f"engine lost its speed contract"
         )
-    report["kway_ml"] = kway_ml_section
     return report
 
 
@@ -674,27 +301,26 @@ SMOKE_MATRICES = ("sym_grid2d_s", "rec_td_small_a", "sqr_er_s")
 
 
 def run_smoke(jobs: int) -> int:
-    """CI smoke: completion + bit-identity across every backend combo.
+    """CI smoke: completion + bit-identity across every kernel backend.
 
     Runs the whole-pipeline sweep, a p=4 recursive bisection, a p=4 flat
     direct k-way partitioning (``--algo kway``), and a p=4 *multilevel*
     k-way partitioning (``kway_vcycles=2`` — one multilevel construction
     plus one restricted V-cycle, so both halves of the multilevel engine
-    execute) on tiny instances with ``--jobs`` workers, under every
-    available kernel backend x execution backend, asserting the results
+    execute) on tiny instances with ``--jobs`` workers on the process
+    pool, under every available kernel backend, asserting the results
     equal the serial reference and (for both k-way flavours) that every
     part respects the eqn-(1) ceiling.  **No wall-clock gating** — this
     exists so a cold CI runner proves the parallel plumbing end to end,
     not to race it.
     """
-    import repro.kernels as kernels
-
     kernel_backends = list(available_backends())
-    exec_backends = ["process"]
     seeds = spawn_seeds(BASE_SEED, 1)
+    strip = lambda rs: [dataclasses.replace(r, seconds=0.0) for r in rs]
     failures = 0
     for kb in kernel_backends:
         cfg = dataclasses.replace(get_config("mondriaan"), kernel_backend=kb)
+        ml_cfg = dataclasses.replace(cfg, kway_vcycles=2)
         for name in SMOKE_MATRICES:
             matrix = load_instance(name)
             specs = [
@@ -702,27 +328,18 @@ def run_smoke(jobs: int) -> int:
                 for s in make_specs(name, seeds)
             ]
             serial_records = list(run_sweep(specs, jobs=1))
-            strip = lambda rs: [
-                dataclasses.replace(r, seconds=0.0) for r in rs
-            ]
             for sweep_jobs in (jobs, JobsBudget(jobs)):
                 records = list(run_sweep(specs, jobs=sweep_jobs))
                 if strip(records) != strip(serial_records):
                     print(f"FAIL sweep {name} kernel={kb} jobs={sweep_jobs}")
                     failures += 1
-            serial = partition(
+            run = lambda config, **kw: partition(
                 matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, jobs=1,
+                config=config, **kw,
             )
-            kway_serial = partition(
-                matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                config=cfg, jobs=1, algo="kway",
-            )
-            ml_cfg = dataclasses.replace(cfg, kway_vcycles=2)
-            ml_serial = partition(
-                matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                config=ml_cfg, jobs=1, algo="kway",
-            )
+            serial = run(cfg, jobs=1)
+            kway_serial = run(cfg, jobs=1, algo="kway")
+            ml_serial = run(ml_cfg, jobs=1, algo="kway")
             ceiling = max_allowed_part_size(matrix.nnz, 4, 0.03)
             if kway_serial.max_part > ceiling:
                 print(f"FAIL kway ceiling {name} kernel={kb}")
@@ -730,39 +347,29 @@ def run_smoke(jobs: int) -> int:
             if ml_serial.max_part > ceiling:
                 print(f"FAIL kway-ml ceiling {name} kernel={kb}")
                 failures += 1
-            for eb in exec_backends:
-                res = partition(
-                    matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                    config=cfg, jobs=jobs, exec_backend=eb,
-                )
-                ok = np.array_equal(serial.parts, res.parts)
-                kres = partition(
-                    matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                    config=cfg, jobs=jobs, exec_backend=eb, algo="kway",
-                )
-                kok = np.array_equal(kway_serial.parts, kres.parts)
-                mres = partition(
-                    matrix, 4, method="mediumgrain", seed=BASE_SEED,
-                    config=ml_cfg, jobs=jobs, exec_backend=eb, algo="kway",
-                )
-                mok = np.array_equal(ml_serial.parts, mres.parts)
-                failures += (not ok) + (not kok) + (not mok)
-                print(
-                    f"  {name:14s} kernel={kb:6s} exec={eb:14s} "
-                    f"volume={res.volume:<6d} "
-                    f"{'ok' if ok else 'MISMATCH'}  "
-                    f"kway={kres.volume:<6d} "
-                    f"{'ok' if kok else 'MISMATCH'}  "
-                    f"kway-ml={mres.volume:<6d} "
-                    f"{'ok' if mok else 'MISMATCH'}"
-                )
+            res = run(cfg, jobs=jobs, exec_backend="process")
+            ok = np.array_equal(serial.parts, res.parts)
+            kres = run(cfg, jobs=jobs, exec_backend="process", algo="kway")
+            kok = np.array_equal(kway_serial.parts, kres.parts)
+            mres = run(ml_cfg, jobs=jobs, exec_backend="process", algo="kway")
+            mok = np.array_equal(ml_serial.parts, mres.parts)
+            failures += (not ok) + (not kok) + (not mok)
+            print(
+                f"  {name:14s} kernel={kb:6s} "
+                f"volume={res.volume:<6d} "
+                f"{'ok' if ok else 'MISMATCH'}  "
+                f"kway={kres.volume:<6d} "
+                f"{'ok' if kok else 'MISMATCH'}  "
+                f"kway-ml={mres.volume:<6d} "
+                f"{'ok' if mok else 'MISMATCH'}"
+            )
     failures += _smoke_retry_path(jobs)
-    resolved = kernels.resolve_backend("auto").name
     print(
         f"\nsmoke: {len(kernel_backends)} kernel backend(s) x "
-        f"{len(exec_backends)} exec backend(s) x {len(SMOKE_MATRICES)} "
-        f"matrices x (recursive + kway + kway-ml + retry-path), jobs={jobs} "
-        f"(auto kernel backend: {resolved}); {failures} failure(s)"
+        f"{len(SMOKE_MATRICES)} matrices x (recursive + kway + kway-ml + "
+        f"retry-path), jobs={jobs} on the process pool "
+        f"(auto kernel backend: {resolve_backend('auto').name}); "
+        f"{failures} failure(s)"
     )
     return 1 if failures else 0
 
@@ -773,15 +380,14 @@ def _smoke_retry_path(jobs: int) -> int:
 
     The retry-path run SIGKILLs the first sweep chunk worker (a real
     kill, fired once across all processes via the harness's filesystem
-    token) and asserts the hardened sweep still streams records
-    bit-identical to the serial reference, with failure briefs recorded.
-    The overhead gate then times the same sweep plain vs armed (deadline
-    + retries configured, nothing failing) and requires the armed path
-    to stay within 2% of the plain one plus a small absolute slack for
-    CI timer noise — min over repeats, so pool warm-up cancels out.
+    token, created in a temporary directory that is removed afterwards)
+    and asserts the hardened sweep still streams records bit-identical
+    to the serial reference, with failure briefs recorded.  The overhead
+    gate then times the same sweep plain vs armed (deadline + retries
+    configured, nothing failing) and requires the armed path to stay
+    within 2% of the plain one plus a small absolute slack for CI timer
+    noise — min over repeats, so pool warm-up cancels out.
     """
-    import tempfile
-
     from repro.utils import faults
     from repro.utils.executor import shutdown_pools
 
@@ -797,14 +403,15 @@ def _smoke_retry_path(jobs: int) -> int:
     ]
     serial = list(run_sweep(specs, jobs=1))
 
-    token = tempfile.mktemp(prefix="repro-smoke-fault-")
-    rule = faults.FaultRule(
-        point="sweep.chunk", kind="crash", hits=(1,), once_token=token
-    )
-    with faults.install([rule]):
-        hardened = list(
-            run_sweep(specs, jobs=jobs, task_timeout=60.0, retries=2)
+    with tempfile.TemporaryDirectory(prefix="repro-smoke-fault-") as tmp:
+        rule = faults.FaultRule(
+            point="sweep.chunk", kind="crash", hits=(1,),
+            once_token=os.path.join(tmp, "token"),
         )
+        with faults.install([rule]):
+            hardened = list(
+                run_sweep(specs, jobs=jobs, task_timeout=60.0, retries=2)
+            )
     if strip(hardened) != strip(serial):
         print("FAIL retry-path records differ from the serial reference")
         failures += 1
@@ -836,126 +443,48 @@ def _smoke_retry_path(jobs: int) -> int:
     return failures
 
 
-def check_regression(
-    committed: dict, matrices, nseeds: int, repeats: int,
-    tolerance: float, min_delta: float,
-) -> int:
-    """Re-time the live serial pipeline against the committed file.
-
-    A matrix counts as regressed only when it is both ``tolerance``
-    slower relatively and ``min_delta`` seconds slower absolutely.
-    Returns a process exit code.
-    """
-    seeds = committed.get("seeds") or spawn_seeds(
-        committed.get("base_seed", BASE_SEED), nseeds
-    )
-    failures = []
-    for name in matrices:
-        ref_entry = committed.get("matrices", {}).get(name)
-        if ref_entry is None:
-            print(f"  {name}: not in committed file, skipping")
-            continue
-        entry = bench_matrix(
-            name, list(seeds), repeats, jobs=1, current_only=True
-        )
-        if entry["volumes"] != ref_entry.get("volumes", entry["volumes"]):
-            print(f"  {name}: volumes changed — retime with a fresh "
-                  f"`python -m benchmarks.bench_e2e`")
-            failures.append((name, float("nan")))
-            continue
-        cur = entry["current_serial_s"]
-        ref = ref_entry["current_serial_s"]
-        ratio = cur / ref if ref > 0 else 1.0
-        regressed = ratio > 1.0 + tolerance and cur - ref > min_delta
-        flag = "REGRESSION" if regressed else "ok"
-        print(
-            f"  {name:14s} committed {ref:7.3f} s  current {cur:7.3f} s  "
-            f"x{ratio:5.2f}  {flag}"
-        )
-        if regressed:
-            failures.append((name, ratio))
-    if failures:
-        print(f"\n{len(failures)} end-to-end timing(s) regressed more "
-              f"than {tolerance:.0%}:")
-        for name, ratio in failures:
-            print(f"  {name}: {ratio:.2f}x the committed time")
-        return 1
-    print("\nend-to-end pipeline within tolerance")
-    return 0
-
-
 def main(argv=None) -> int:
     """CLI entry point; see the module docstring."""
     parser = argparse.ArgumentParser(
         prog="bench_e2e",
-        description="end-to-end pipeline benchmark harness",
+        description="direct k-way vs recursive bisection, and the "
+                    "execution-layer smoke",
     )
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the committed JSON instead "
-                             "of rewriting it")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI smoke: tiny instances, every kernel x "
-                             "execution backend, gate on completion and "
-                             "bit-identity only (no timings, no JSON)")
+                        help="CI smoke: tiny instances, every kernel "
+                             "backend on the process pool, gate on "
+                             "completion and bit-identity only (no "
+                             "timings, no JSON)")
     parser.add_argument("--out", default=str(DEFAULT_OUT))
     parser.add_argument("--matrices", default=",".join(DEFAULT_MATRICES),
-                        help="comma-separated collection instance names")
-    parser.add_argument("--nseeds", type=int, default=3,
-                        help="seeds per matrix (deterministic tree)")
+                        help="comma-separated collection instance names "
+                             f"(plus {','.join(KWAY_EXTRA_MATRICES)})")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repetitions (min is kept)")
     parser.add_argument("--jobs", type=int, default=2,
-                        help="worker processes for the parallel timing")
-    parser.add_argument("--pway-parts", default=",".join(map(str, PWAY_PARTS)),
-                        help="comma-separated p values for the recursive-"
-                             "bisection stage")
-    # Whole-pipeline wall-clock jitters far more than the isolated-kernel
-    # microbenchmarks (scheduler noise integrates over hundreds of ms on
-    # shared runners), so the end-to-end gate is looser than the 25%
-    # kernel gate by default.
-    parser.add_argument("--tolerance", type=float, default=0.5,
-                        help="--check relative failure threshold")
-    parser.add_argument("--min-delta", type=float, default=5e-2,
-                        help="--check absolute floor in seconds")
+                        help="worker processes for the bit-identity "
+                             "checks and the smoke")
+    parser.add_argument("--pway-parts", default=",".join(map(str, KWAY_PARTS)),
+                        help="comma-separated p values of the k-way stages")
     args = parser.parse_args(argv)
-    matrices = tuple(m for m in args.matrices.split(",") if m)
-    out = Path(args.out)
 
     if args.smoke:
         print(f"execution-layer smoke (jobs={args.jobs})")
         return run_smoke(args.jobs)
 
-    if args.check:
-        if not out.exists():
-            print(f"no committed benchmark file at {out}; "
-                  f"run `python -m benchmarks.bench_e2e` first")
-            return 2
-        committed = json.loads(out.read_text(encoding="utf-8"))
-        print(f"checking end-to-end pipeline against {out} "
-              f"(tolerance {args.tolerance:.0%})")
-        return check_regression(
-            committed, matrices, args.nseeds, args.repeats,
-            args.tolerance, args.min_delta,
-        )
-
-    print(f"timing the end-to-end pipeline on {', '.join(matrices)} "
-          f"({args.nseeds} seeds, min of {args.repeats} runs, "
-          f"parallel jobs={args.jobs})")
-    report = run_benchmarks(
-        matrices, args.nseeds, args.repeats, args.jobs,
-        pway_parts=tuple(int(p) for p in args.pway_parts.split(",") if p),
-    )
+    matrices = tuple(m for m in args.matrices.split(",") if m)
+    ps = tuple(int(p) for p in args.pway_parts.split(",") if p)
+    out = Path(args.out)
+    print(f"timing direct k-way vs recursive bisection on "
+          f"{', '.join(matrices)} at p in {ps} (min of {args.repeats} runs)")
+    report = run_benchmarks(matrices, args.repeats, args.jobs, ps)
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"\ngeomean end-to-end speedup (serial, vs pre-PR): "
-          f"x{report['geomean_speedup_serial']}")
-    print(f"geomean p-way speedup (parallel j{args.jobs}, vs frozen serial "
-          f"baseline): x{report['pway']['geomean_speedup_parallel']}")
     print(f"geomean kway speedup over recursive bisection: "
           f"x{report['kway']['geomean_speedup_kway']} at volume ratio "
           f"{report['kway']['geomean_volume_ratio_by_p']}")
-    print(f"geomean kway-ml (vcycles={report['kway_ml']['kway_vcycles']}) "
-          f"speedup: x{report['kway_ml']['geomean_speedup_kway_ml']} at "
-          f"volume ratio {report['kway_ml']['geomean_volume_ratio']} "
+    print(f"geomean kway-ml (vcycles={KWAY_ML_VCYCLES}) speedup: "
+          f"x{report['kway_ml']['geomean_speedup_kway_ml']} at volume ratio "
+          f"{report['kway_ml']['geomean_volume_ratio']} "
           f"(gates: ratio <= {KWAY_ML_RATIO_GATE}, "
           f"speed >= {KWAY_ML_SPEEDUP_GATE}x)")
     print(f"written to {out}")

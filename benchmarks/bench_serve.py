@@ -1,7 +1,8 @@
 """Serving-tier benchmark: cache speedup and saturation under faults.
 
-Where ``bench_e2e`` times the batch pipeline, this times the *daemon*
-(:mod:`repro.serve`) as a black box over HTTP, the way a caller sees it.
+Where ``bench_e2e`` times the k-way partitioner in-process, this times
+the *daemon* (:mod:`repro.serve`) as a black box over HTTP, the way a
+caller sees it.
 Every stage drives a real ``repro-partition serve`` subprocess via
 :func:`repro.serve.testing.start_daemon`.
 

@@ -1,47 +1,49 @@
-"""Opt-in end-to-end benchmark-regression gate (``pytest -m bench``).
+"""The k-way stages of ``benchmarks/bench_e2e.py`` and their committed
+numbers.
 
-Deselected by default (see ``pytest.ini``): timing checks belong in a
-quiet environment, not in tier-1.  The test shells out to the same
-entry point as ``make bench-e2e`` so the two paths cannot drift.
+The cell test runs in tier-1 on a tiny instance: it drives the same
+function that writes ``BENCH_e2e.json``, so a schema drift between the
+harness and the committed file shows up without a timing run.  The
+committed-gates check is opt-in (``pytest -m bench``) with the other
+benchmark checks.
 """
 
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-pytestmark = pytest.mark.bench
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks import bench_e2e  # noqa: E402
 
 
-def test_e2e_pipeline_within_committed_budget():
-    """Current end-to-end pipeline timings stay within the (deliberately
-    loose — whole-pipeline wall clock jitters) budget of BENCH_e2e.json."""
-    if not (REPO_ROOT / "BENCH_e2e.json").exists():
+def _committed() -> dict:
+    path = REPO_ROOT / "BENCH_e2e.json"
+    if not path.exists():
         pytest.skip("no committed BENCH_e2e.json")
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"]
-        if env.get("PYTHONPATH")
-        else src
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "benchmarks.bench_e2e", "--check"],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, (
-        f"end-to-end benchmark regression:\n{proc.stdout}\n{proc.stderr}"
-    )
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("kway_vcycles", [0, 1])
+def test_kway_cell_matches_committed_schema(kway_vcycles):
+    """One (matrix, p) cell of either k-way stage has exactly the keys
+    of the committed section's cells, and passed its feasibility and
+    bit-identity checks."""
+    section = _committed()[bench_e2e._kway_tag(kway_vcycles)]
+    committed_cell = next(iter(section["matrices"].values()))["by_p"]["4"]
+    entry = bench_e2e.bench_kway_matrix(
+        "sym_grid2d_s", (4,), repeats=1, jobs=2, kway_vcycles=kway_vcycles
+    )
+    cell = entry["by_p"]["4"]
+    assert list(cell) == list(committed_cell)
+    assert cell["feasible"] and cell["bit_identical"]
+
+
+@pytest.mark.bench
 def test_kway_ml_committed_gates():
     """The committed kway-ml section honours its own quality/speed gates.
 
@@ -51,11 +53,7 @@ def test_kway_ml_committed_gates():
     volume ratio vs recursive <= 1.1 at >= 2x its speed, every cell
     feasible and bit-identical across kernel/exec backends and jobs.
     """
-    path = REPO_ROOT / "BENCH_e2e.json"
-    if not path.exists():
-        pytest.skip("no committed BENCH_e2e.json")
-    report = json.loads(path.read_text(encoding="utf-8"))
-    section = report.get("kway_ml")
+    section = _committed().get("kway_ml")
     assert section is not None, "BENCH_e2e.json lacks the kway-ml section"
     assert section["geomean_volume_ratio"] <= section["ratio_gate"]
     assert section["geomean_speedup_kway_ml"] >= section["speedup_gate"]

@@ -108,9 +108,13 @@ def test_exec_backend_choices_match_usage():
         assert tuple(listed.split(",")) == EXEC_BACKEND_CHOICES
 
 
-#: Names of removed execution paths and options; a doc that still
-#: mentions one describes code that no longer exists.
-_REMOVED_NAMES = ("process-pickle", "--serve-backend", "resilient_call")
+#: Names of removed execution paths, options and benchmark harnesses; a
+#: doc that still mentions one describes code that no longer exists.
+_REMOVED_NAMES = (
+    "process-pickle", "--serve-backend", "resilient_call",
+    "bench_regress", "_baseline_kernels", "_baseline_e2e",
+    "BENCH_kernels.json", "bench-regress",
+)
 
 
 @pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_id)
@@ -118,3 +122,23 @@ def test_no_removed_execution_names(doc):
     text = doc.read_text(encoding="utf-8")
     stale = [name for name in _REMOVED_NAMES if name in text]
     assert not stale, f"{_doc_id(doc)}: mentions removed names: {stale}"
+
+
+#: ``make <target>`` at the start of a code span or a code-block line;
+#: prose such as "make sure" is not an instruction to run make.
+_MAKE_TARGET = re.compile(r"(?:^|`)make\s+([a-z][\w-]*)", re.MULTILINE)
+_MAKEFILE_TARGETS = set(
+    re.findall(
+        r"^([\w-]+):",
+        (REPO_ROOT / "Makefile").read_text(encoding="utf-8"),
+        flags=re.MULTILINE,
+    )
+)
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_id)
+def test_named_make_targets_exist(doc):
+    """Every ``make <target>`` a doc tells the reader to run exists."""
+    text = doc.read_text(encoding="utf-8")
+    missing = sorted(set(_MAKE_TARGET.findall(text)) - _MAKEFILE_TARGETS)
+    assert not missing, f"{_doc_id(doc)}: unknown make targets: {missing}"

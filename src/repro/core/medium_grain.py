@@ -214,8 +214,14 @@ def build_medium_grain(split: Split) -> MediumGrainInstance:
     # Column net j: [cg(j) if active] + [rg(i) for a_ij in Ar].
     # Row net  n+i: [rg(i) if active] + [cg(j) for a_ij in Ac].
     # ------------------------------------------------------------------ #
-    rows_ar = a.rows[ar]
-    cols_ar = a.cols[ar]
+    # Ar in column-major order (the matrix's cached col_order): every
+    # block of net_ids below is then sorted, so the stable argsort only
+    # merges presorted runs.  Within a column both orders list the rows
+    # ascending, so the pins equal those of canonical order.
+    col_major = a.col_order()
+    ar_cm = col_major[ar[col_major]]
+    rows_ar = a.rows[ar_cm]
+    cols_ar = a.cols[ar_cm]
     rows_ac = a.rows[ac]
     cols_ac = a.cols[ac]
 

@@ -208,6 +208,8 @@ class Hypergraph:
     # Transposed incidence (vertex -> nets), built lazily
     # ------------------------------------------------------------------ #
     def _build_transpose(self) -> tuple[np.ndarray, np.ndarray]:
+        # The native kernel backend may fill this entry first, with its
+        # compiled counting sort; the arrays are equal either way.
         cached = self._cache.get("transpose")
         if cached is None:
             deg = np.bincount(self.pins, minlength=self.nverts)

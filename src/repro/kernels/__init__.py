@@ -1,19 +1,21 @@
-"""Pluggable kernel backends for the pipeline's scalar hot loops.
+"""Pluggable kernel backends for the pipeline's hot kernels.
 
-The loops that dominate end-to-end runtime — the FM move loops (2-way
-and k-way), greedy-matching candidate scoring, identical-net merging,
-and the greedy vector-owner assignment of the SpMV side — live here
-behind a small registry:
+The kernels that dominate end-to-end runtime — the FM move loops (2-way
+and k-way) with the 2-way pass set-up, greedy-matching candidate
+scoring, pin contraction, identical-net merging, and the greedy
+vector-owner assignment of the SpMV side — live here behind a small
+registry:
 
 ``"python"``
-    The reference backend: list-based scalar loops, vectorized net
-    merging.  Always available.
+    The reference backend: list-based scalar loops, NumPy set-up
+    (pass set-up, lexsort contraction, vectorized net merging).  Always
+    available.
 ``"native"``
-    The same sequential loops compiled from C (:mod:`repro.kernels.native`)
-    and called through ctypes, about four times faster end to end.  The
-    library is built once per machine into a content-hashed cache; when
-    no compiler works, the registry resolves ``"native"`` and ``"auto"``
-    to ``"python"``.
+    The same loops and the same integer set-up compiled from C
+    (:mod:`repro.kernels.native`) and called through ctypes, several
+    times faster end to end.  The library is built once per machine
+    into a content-hashed cache; when no compiler works, the registry
+    resolves ``"native"`` and ``"auto"`` to ``"python"``.
 
 Backends are *bit-compatible*: for the same hypergraph, configuration,
 and seed they produce identical partitions, cuts, and matchings (pinned
@@ -22,7 +24,7 @@ by ``tests/kernels/test_equivalence.py``).  Select a backend with
 ``"native"``) or the ``--backend`` CLI flag.  The backend a process
 actually resolved is exported as the
 ``repro_kernel_backend_info{backend=...}`` gauge, since a fall-back to
-Python costs about a factor four.
+Python costs about a factor seven.
 
 Alongside the backends, :class:`~repro.kernels.state.FMPassState` keeps
 the per-hypergraph buffers (list mirrors, flat bucket and matching

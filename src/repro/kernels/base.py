@@ -1,11 +1,13 @@
 """Abstract interface of a kernel backend.
 
-A backend owns the three scalar hot loops of the partitioner — the FM
-move loop, greedy-matching candidate scoring, and identical-net merging —
-behind a uniform, state-passing API.  Everything *around* the loops
-(vectorized pass setup, RNG consumption, validation, pass orchestration)
-is shared, which is what makes backends bit-compatible: for a fixed
-hypergraph and seed, every backend must return identical results.
+A backend owns the partitioner's hot kernels behind a uniform,
+state-passing API: the FM move loops with their per-pass set-up,
+greedy-matching candidate scoring, the contraction of pins through a
+cluster map, identical-net merging, and the greedy vector-owner loop.
+RNG consumption, validation and pass orchestration stay shared, and
+every kernel's answer must equal the ``"python"`` reference's — which
+is what makes backends bit-compatible: for a fixed hypergraph and seed,
+every backend returns identical results.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ __all__ = ["KernelBackend"]
 class KernelBackend:
     """Base class for kernel backends (see :mod:`repro.kernels`).
 
-    Subclasses set :attr:`name` and implement the three kernels.  The
+    Subclasses set :attr:`name` and implement the kernels.  The
     contract for every kernel: bit-identical results to the ``"python"``
     reference backend for the same inputs and RNG stream.
     """
@@ -34,7 +36,7 @@ class KernelBackend:
         return FMPassState.for_hypergraph(h, self.name)
 
     # ------------------------------------------------------------------ #
-    # The three hot loops.
+    # The hot kernels of the multilevel engine.
     # ------------------------------------------------------------------ #
     def fm_pass(
         self,
@@ -88,10 +90,25 @@ class KernelBackend:
         """
         raise NotImplementedError
 
+    def contract_pins(
+        self, h: Hypergraph, cmap: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Map the pins of ``h`` through the cluster map ``cmap``.
+
+        Returns ``(xpins, pins, ncost)``: each net's coarse pins without
+        duplicates and sorted ascending, keeping only the nets left with
+        at least two pins (in their original order) and their costs.
+        """
+        raise NotImplementedError
+
     def merge_identical(
         self, xpins: np.ndarray, pins: np.ndarray, ncost: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Merge nets with identical (sorted) pin sets, summing costs."""
+        """Merge nets with identical (sorted) pin sets, summing costs.
+
+        The lowest net id represents its group and the surviving nets
+        keep ascending order.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #

@@ -25,8 +25,9 @@ directly, which needs richer state:
 
 All of it is computed here vectorized, shared by the ``"python"`` and
 ``"native"`` backends — only the sequential move loop differs, which is
-what makes the backends bit-compatible (mirroring
-:func:`repro.kernels.state.compute_fm_setup` for the 2-way pass).
+what makes the backends bit-compatible.  (The 2-way pass set-up,
+:func:`repro.kernels.state.compute_fm_setup`, is the reference for a C
+port inside the native move loop; this one has no C port yet.)
 
 The gain bound of the 2-way pass carries over: ``|base[v] +
 connect[v, t]| <= C_v <= max_vertex_net_cost``, so the k-way buckets

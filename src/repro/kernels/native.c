@@ -1,14 +1,19 @@
 /*
- * Native kernels: the four sequential loops of the partitioner in C.
+ * Native kernels: the sequential loops of the partitioner and the
+ * integer set-up around them, in C.
  *
- * Each function is a statement-for-statement port of the reference
- * loops in python_backend.py and kernels/spmv.py: the same LIFO bucket
+ * The loops (FM moves, greedy matching, greedy vector owners) are
+ * statement-for-statement ports of the reference loops in
+ * python_backend.py and kernels/spmv.py: the same LIFO bucket
  * discipline, the same cursor tightening, the same tie-breaks, and the
  * same floating-point operations in the same order (matching scores,
- * balance metrics).  For a fixed hypergraph and seed the native and the
- * python backend therefore return bit-identical partitions, matchings
- * and owners.  The RNG is consumed outside these loops, by the shared
- * Python code that calls them.
+ * balance metrics).  The set-up kernels (FM pin counts and gains,
+ * contraction, identical-net merging, the transposed incidence) are
+ * integer-only and produce the arrays the NumPy reference produces,
+ * element for element.  For a fixed hypergraph and seed the native and
+ * the python backend therefore return bit-identical partitions,
+ * matchings, coarse hypergraphs and owners.  The RNG is consumed
+ * outside these kernels, by the shared Python code that calls them.
  *
  * The library is built by native.py with
  *     cc -O2 -std=c99 -shared -fPIC -ffp-contract=off
@@ -22,12 +27,14 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef int64_t i64;
 typedef uint8_t u8;
 
 /* Bumped whenever a signature below changes; native.py checks it. */
-#define REPRO_NATIVE_ABI 1
+#define REPRO_NATIVE_ABI 2
 
 i64 repro_native_abi(void) { return REPRO_NATIVE_ABI; }
 
@@ -150,21 +157,70 @@ static double balance_metric(i64 w0, i64 w1, i64 maxw0, i64 maxw1)
 }
 
 /*
- * The sequential 2-way FM move loop; mutates parts, pc0 and pc1.
+ * Per-pass FM set-up, the port of state.py's compute_fm_setup: per-net
+ * pin counts on each side, each vertex's initial gain, and the
+ * bucket-seeding mask (every vertex, or only the vertices of cut nets
+ * when boundary_only).  One visit per net, two sweeps over its pins.
+ * Returns the weight on side 1.  Called by repro_fm_move_loop; exported
+ * so the set-up can be compared with the reference on its own.
+ */
+i64 repro_fm_setup(
+    i64 nverts, i64 nnets, const i64 *xpins, const i64 *pins,
+    const i64 *ncost, const i64 *vwgt, const i64 *parts,
+    i64 *pc0, i64 *pc1, i64 *bgain, u8 *insert_mask, i64 boundary_only)
+{
+    i64 w1 = 0;
+    for (i64 v = 0; v < nverts; v++) {
+        w1 += parts[v] * vwgt[v];
+        bgain[v] = 0;
+        insert_mask[v] = !boundary_only;
+    }
+    for (i64 n = 0; n < nnets; n++) {
+        i64 p0 = xpins[n];
+        i64 p1 = xpins[n + 1];
+        i64 c1 = 0;
+        for (i64 k = p0; k < p1; k++)
+            c1 += parts[pins[k]];
+        i64 c0 = (p1 - p0) - c1;
+        pc0[n] = c0;
+        pc1[n] = c1;
+        /* gain of a pin on side s: cost if it is alone on s, minus cost
+         * if no pin is on the other side. */
+        i64 c = ncost[n];
+        i64 g0 = c * ((i64)(c0 == 1) - (i64)(c1 == 0));
+        i64 g1 = c * ((i64)(c1 == 1) - (i64)(c0 == 0));
+        int cut = c0 > 0 && c1 > 0;
+        for (i64 k = p0; k < p1; k++) {
+            i64 v = pins[k];
+            bgain[v] += parts[v] ? g1 : g0;
+            if (cut)
+                insert_mask[v] = 1;
+        }
+    }
+    return w1;
+}
+
+/*
+ * The 2-way FM pass: the set-up above, then the sequential move loop.
+ * Mutates parts; pc0, pc1, bgain and insert_mask are scratch.
  *
  * Returns 1 when the best prefix is feasible (its cut reduction in
  * *best_cum_out) and 0 otherwise (*best_cum_out = 0).  The best-prefix
  * rollback is already applied to parts.
  */
 i64 repro_fm_move_loop(
-    i64 nverts, i64 nb,
+    i64 nverts, i64 nnets, i64 nb,
     const i64 *xpins, const i64 *pins, const i64 *xnets, const i64 *vnets,
     const i64 *ncost, const i64 *vwgt, i64 *parts, i64 *pc0, i64 *pc1,
-    i64 *bgain, const u8 *insert_mask, const i64 *insert_order,
+    i64 *bgain, u8 *insert_mask, const i64 *insert_order,
     i64 *head, i64 *nxt, i64 *prv, u8 *inside, u8 *locked, i64 *moved,
     i64 offset, i64 maxw0, i64 maxw1, i64 slack, i64 stall_limit,
-    i64 w0_init, i64 w1_init, i64 *best_cum_out)
+    i64 boundary_only, i64 total_weight, i64 *best_cum_out)
 {
+    i64 w1_init = repro_fm_setup(nverts, nnets, xpins, pins, ncost, vwgt,
+                                 parts, pc0, pc1, bgain, insert_mask,
+                                 boundary_only);
+    i64 w0_init = total_weight - w1_init;
     Buckets B;
     B.head = head;
     B.nb = nb;
@@ -751,6 +807,170 @@ void repro_match_loop(
             }
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Per-level set-up: contraction, identical-net merging, transpose.   */
+/* ------------------------------------------------------------------ */
+
+static int cmp_i64(const void *a, const void *b)
+{
+    i64 x = *(const i64 *)a;
+    i64 y = *(const i64 *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sort a[0..n) ascending: insertion sort for the short nets that make
+ * up most of a hypergraph, the C library's sort for the long ones. */
+static void sort_i64(i64 *a, i64 n)
+{
+    if (n > 16) {
+        qsort(a, (size_t)n, sizeof(i64), cmp_i64);
+        return;
+    }
+    for (i64 i = 1; i < n; i++) {
+        i64 x = a[i];
+        i64 j = i - 1;
+        while (j >= 0 && a[j] > x) {
+            a[j + 1] = a[j];
+            j -= 1;
+        }
+        a[j + 1] = x;
+    }
+}
+
+/*
+ * Contraction of the pins: map each net's pins through cmap, drop the
+ * duplicates, sort them ascending, and keep only the nets left with at
+ * least two pins (a smaller net can never be cut) with their costs.
+ * stamp is scratch of length nstamp > max(cmap).  The outputs have room
+ * for every net and pin; returns the number of nets kept.
+ */
+i64 repro_contract_pins(
+    i64 nnets, i64 nstamp, const i64 *xpins, const i64 *pins,
+    const i64 *cmap, const i64 *ncost, i64 *stamp,
+    i64 *out_xpins, i64 *out_pins, i64 *out_ncost)
+{
+    for (i64 c = 0; c < nstamp; c++)
+        stamp[c] = -1;
+    i64 nout = 0;
+    i64 top = 0;
+    out_xpins[0] = 0;
+    for (i64 n = 0; n < nnets; n++) {
+        i64 start = top;
+        for (i64 k = xpins[n]; k < xpins[n + 1]; k++) {
+            i64 c = cmap[pins[k]];
+            if (stamp[c] != n) {
+                stamp[c] = n;
+                out_pins[top++] = c;
+            }
+        }
+        if (top - start < 2) {
+            top = start;
+            continue;
+        }
+        sort_i64(out_pins + start, top - start);
+        out_ncost[nout] = ncost[n];
+        nout += 1;
+        out_xpins[nout] = top;
+    }
+    return nout;
+}
+
+/* Hash of one pin slice (its length included). */
+static uint64_t slice_hash(const i64 *p, i64 s)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ULL ^ (uint64_t)s;
+    for (i64 k = 0; k < s; k++) {
+        h ^= (uint64_t)p[k];
+        h *= 0xff51afd7ed558ccdULL;
+        h ^= h >> 32;
+    }
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    return h ^ (h >> 29);
+}
+
+/*
+ * Identical-net merging.  Pins must be sorted within each net, so two
+ * nets are identical iff their pin slices are equal.  Each group of
+ * identical nets is represented by its lowest net id and carries the
+ * group's summed cost; the survivors keep ascending order.  table is
+ * scratch of 2 * tsize entries (tsize a power of two above nnets: open
+ * addressing, one (net, hash) pair per slot), grp scratch of nnets.
+ * Returns the number of surviving nets; when that is nnets the outputs
+ * are left unwritten.
+ */
+i64 repro_merge_identical(
+    i64 nnets, const i64 *xpins, const i64 *pins, const i64 *ncost,
+    i64 *table, i64 tsize, i64 *grp,
+    i64 *out_xpins, i64 *out_pins, i64 *out_ncost)
+{
+    for (i64 i = 0; i < tsize; i++)
+        table[2 * i] = -1;
+    i64 nsurv = 0;
+    for (i64 n = 0; n < nnets; n++) {
+        const i64 *p = pins + xpins[n];
+        i64 s = xpins[n + 1] - xpins[n];
+        i64 h = (i64)slice_hash(p, s);
+        i64 slot = h & (tsize - 1);
+        for (;;) {
+            i64 m = table[2 * slot];
+            if (m == -1) {
+                table[2 * slot] = n;
+                table[2 * slot + 1] = h;
+                grp[n] = nsurv++;
+                break;
+            }
+            if (table[2 * slot + 1] == h && xpins[m + 1] - xpins[m] == s
+                && memcmp(pins + xpins[m], p, (size_t)s * sizeof(i64)) == 0) {
+                grp[n] = -1 - grp[m]; /* a duplicate of group grp[m] */
+                break;
+            }
+            slot = (slot + 1) & (tsize - 1);
+        }
+    }
+    if (nsurv == nnets)
+        return nsurv;
+    i64 top = 0;
+    out_xpins[0] = 0;
+    for (i64 n = 0; n < nnets; n++) {
+        i64 g = grp[n];
+        if (g < 0) {
+            out_ncost[-1 - g] += ncost[n]; /* its representative came first */
+            continue;
+        }
+        for (i64 k = xpins[n]; k < xpins[n + 1]; k++)
+            out_pins[top++] = pins[k];
+        out_ncost[g] = ncost[n];
+        out_xpins[g + 1] = top;
+    }
+    return nsurv;
+}
+
+/*
+ * The transposed incidence by counting sort: xnets (nverts + 1) and
+ * vnets (npins) list each vertex's nets in ascending net order, the
+ * order a stable sort of the pins gives.
+ */
+void repro_transpose(
+    i64 nverts, i64 nnets, const i64 *xpins, const i64 *pins,
+    i64 *xnets, i64 *vnets)
+{
+    for (i64 v = 0; v <= nverts; v++)
+        xnets[v] = 0;
+    for (i64 k = 0; k < xpins[nnets]; k++)
+        xnets[pins[k] + 1] += 1;
+    for (i64 v = 0; v < nverts; v++)
+        xnets[v + 1] += xnets[v];
+    /* Fill, using xnets[v] as vertex v's cursor; afterwards it holds
+     * the start of vertex v + 1, so shift it back by one. */
+    for (i64 n = 0; n < nnets; n++) {
+        for (i64 k = xpins[n]; k < xpins[n + 1]; k++)
+            vnets[xnets[pins[k]]++] = n;
+    }
+    for (i64 v = nverts; v > 0; v--)
+        xnets[v] = xnets[v - 1];
+    xnets[0] = 0;
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,13 +1,16 @@
-"""Native backend: the four sequential loops compiled from C.
+"""Native backend: the sequential loops and their set-up compiled from C.
 
 ``native.c`` (next to this file) is a statement-for-statement port of
 the reference loops — the 2-way and k-way FM move loops, the greedy
 matching sweep, and the greedy vector-owner loop — so for a fixed
 hypergraph and seed this backend returns bit-identical partitions,
-matchings and owners to ``"python"``.  Everything around the loops stays
-shared Python: the vectorized pass setup (:func:`compute_fm_setup`,
-:func:`compute_kway_setup`), identical-net merging, and every draw from
-the RNG.
+matchings and owners to ``"python"``.  It also carries the integer
+set-up the NumPy reference vectorizes, with equal results array for
+array: the 2-way pass set-up (:func:`compute_fm_setup`, run inside the
+move-loop call), pin contraction, identical-net merging, and the
+transposed incidence (a counting sort, filled in by :meth:`fm_state`).
+The k-way pass set-up (:func:`compute_kway_setup`) and every draw from
+the RNG stay shared Python.
 
 Build
     The library is compiled once per machine with
@@ -26,7 +29,9 @@ Build
 Calls
     ctypes releases the GIL for the duration of every call.  Each array
     that crosses the boundary is checked here for dtype, C order and
-    length first (:func:`_arg`); the C side trusts its inputs.
+    length first (:func:`_arg`); the C side trusts its inputs.  The
+    hypergraph's read-only topology is checked once per
+    :class:`FMPassState` (:func:`_topology`), everything else per call.
 
 :func:`load_library` raises :class:`NativeUnavailable` when no compiler
 works; the registry (:mod:`repro.kernels`) then resolves ``"auto"`` and
@@ -50,10 +55,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import PartitioningError
+from repro.hypergraph.hypergraph import Hypergraph, _readonly
 from repro.kernels.base import KernelBackend
 from repro.kernels.kway import compute_kway_setup
-from repro.kernels.python_backend import merge_identical_nets
-from repro.kernels.state import FMPassState, compute_fm_setup
+from repro.kernels.state import FMPassState
 
 __all__ = [
     "NativeBackend",
@@ -70,7 +75,7 @@ SOURCE = Path(__file__).with_name("native.c")
 #: semantics, and -ffp-contract=off forbids fused multiply-adds.
 CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
 #: Must equal ``REPRO_NATIVE_ABI`` in ``native.c``.
-ABI = 1
+ABI = 2
 #: Upper bound on one compiler run.
 BUILD_TIMEOUT_S = 300.0
 
@@ -78,12 +83,18 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _SIGNATURES = {
     "repro_native_abi": ((), _I),
-    "repro_fm_move_loop": ((_I, _I) + (_P,) * 18 + (_I,) * 7 + (_P,), _I),
+    "repro_fm_setup": ((_I, _I) + (_P,) * 9 + (_I,), _I),
+    "repro_fm_move_loop": (
+        (_I, _I, _I) + (_P,) * 18 + (_I,) * 7 + (_P,), _I
+    ),
     "repro_kway_move_loop": (
         (_I, _I, _I) + (_P,) * 23 + (_I,) * 3 + (_P,), _I
     ),
     "repro_match_loop": ((_I,) + (_P,) * 11 + (_I,) * 3 + (_P, _I), None),
     "repro_greedy_owner_loop": ((_P, _P, _P, _I, _P, _P, _P), None),
+    "repro_contract_pins": ((_I, _I) + (_P,) * 8, _I),
+    "repro_merge_identical": ((_I,) + (_P,) * 4 + (_I,) + (_P,) * 4, _I),
+    "repro_transpose": ((_I, _I, _P, _P, _P, _P), None),
 }
 
 
@@ -223,16 +234,26 @@ _u8 = np.dtype(np.uint8)
 _f64 = np.dtype(np.float64)
 
 
-def _topology(h) -> list[int]:
-    """Checked addresses of the CSR topology shared by every FM loop."""
-    return [
-        _arg(h.xpins, _i64, h.nnets + 1, "xpins"),
-        _arg(h.pins, _i64, h.npins, "pins"),
-        _arg(h.xnets, _i64, h.nverts + 1, "xnets"),
-        _arg(h.vnets, _i64, h.npins, "vnets"),
-        _arg(h.ncost, _i64, h.nnets, "ncost"),
-        _arg(h.vwgt, _i64, h.nverts, "vwgt"),
-    ]
+def _topology(state: FMPassState) -> tuple[int, ...]:
+    """Checked addresses of the CSR topology shared by every loop.
+
+    ``xpins``, ``pins``, ``xnets``, ``vnets``, ``ncost``, ``vwgt`` (what
+    the FM loops take) and the net sizes (what matching adds).  They are
+    checked once per state and cached on it: the arrays are read-only
+    and owned by the immutable hypergraph, whose cache holds the state.
+    """
+    if state.topology is None:
+        h = state.h
+        state.topology = (
+            _arg(h.xpins, _i64, h.nnets + 1, "xpins"),
+            _arg(h.pins, _i64, h.npins, "pins"),
+            _arg(h.xnets, _i64, h.nverts + 1, "xnets"),
+            _arg(h.vnets, _i64, h.npins, "vnets"),
+            _arg(h.ncost, _i64, h.nnets, "ncost"),
+            _arg(h.vwgt, _i64, h.nverts, "vwgt"),
+            _arg(h.net_sizes(), _i64, h.nnets, "sizes"),
+        )
+    return state.topology
 
 
 class NativeBackend(KernelBackend):
@@ -243,6 +264,22 @@ class NativeBackend(KernelBackend):
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
 
+    def fm_state(self, h: Hypergraph) -> FMPassState:
+        """The cached pass state for ``h``; first fills the transposed
+        incidence with the compiled counting sort when ``h`` has none
+        yet (equal to :meth:`Hypergraph._build_transpose`'s)."""
+        if "transpose" not in h._cache:
+            xnets = np.empty(h.nverts + 1, dtype=np.int64)
+            vnets = np.empty(h.npins, dtype=np.int64)
+            self._lib.repro_transpose(
+                h.nverts, h.nnets,
+                _arg(h.xpins, _i64, h.nnets + 1, "xpins"),
+                _arg(h.pins, _i64, h.npins, "pins"),
+                xnets.ctypes.data, vnets.ctypes.data,
+            )
+            h._cache["transpose"] = (_readonly(xnets), _readonly(vnets))
+        return super().fm_state(h)
+
     def fm_pass(
         self,
         state: FMPassState,
@@ -251,29 +288,24 @@ class NativeBackend(KernelBackend):
         cfg,
         rng: np.random.Generator,
     ) -> tuple[int, bool]:
-        """One FM pass through the compiled move loop; mutates ``parts``."""
+        """One FM pass, set-up included, in one compiled call; mutates
+        ``parts``."""
         h = state.h
         n = h.nverts
         if n == 0:
             return 0, True
-        # The setup arrays are fresh each pass and mutated by the move
-        # loop directly; only the bucket scratch is cached on the state.
-        pc0, pc1, bgain, insert_mask = compute_fm_setup(
-            h, parts, cfg.boundary_only
-        )
         insert_order = rng.permutation(n)
         scratch = state.flat_arrays()
-        w1 = int(np.dot(parts, h.vwgt))
         stall_limit = max(32, int(cfg.fm_early_exit_frac * n))
         nb = state.nbuckets
         best = np.zeros(1, dtype=np.int64)
         feasible = self._lib.repro_fm_move_loop(
-            n, nb, *_topology(h),
+            n, h.nnets, nb, *_topology(state)[:6],
             _arg(parts, _i64, n, "parts"),
-            _arg(pc0, _i64, h.nnets, "pc0"),
-            _arg(pc1, _i64, h.nnets, "pc1"),
-            _arg(bgain, _i64, n, "bgain"),
-            _arg(insert_mask.view(np.uint8), _u8, n, "insert_mask"),
+            _arg(scratch["pc0"], _i64, h.nnets, "pc0"),
+            _arg(scratch["pc1"], _i64, h.nnets, "pc1"),
+            _arg(scratch["bgain"], _i64, n, "bgain"),
+            _arg(scratch["insert_mask"], _u8, n, "insert_mask"),
             _arg(insert_order, _i64, n, "insert_order"),
             _arg(scratch["head"], _i64, 2 * nb, "head"),
             _arg(scratch["nxt"], _i64, n, "nxt"),
@@ -282,7 +314,7 @@ class NativeBackend(KernelBackend):
             _arg(scratch["locked"], _u8, n, "locked"),
             _arg(scratch["moved"], _i64, n, "moved"),
             state.max_gain, int(maxw[0]), int(maxw[1]), state.slack,
-            stall_limit, state.total_weight - w1, w1,
+            stall_limit, int(bool(cfg.boundary_only)), state.total_weight,
             best.ctypes.data,
         )
         return int(best[0]), bool(feasible)
@@ -316,7 +348,7 @@ class NativeBackend(KernelBackend):
         nb = state.nbuckets
         best = np.zeros(1, dtype=np.int64)
         feasible = self._lib.repro_kway_move_loop(
-            n, k, nb, *_topology(h),
+            n, k, nb, *_topology(state)[:6],
             _arg(parts, _i64, n, "parts"),
             _arg(occ, _i64, h.nnets * k, "occ"),
             _arg(conn, _i64, n * k, "conn"),
@@ -361,8 +393,7 @@ class NativeBackend(KernelBackend):
             else np.ascontiguousarray(restrict_parts, dtype=np.int64)
         )
         self._lib.repro_match_loop(
-            n, *_topology(h),
-            _arg(h.net_sizes(), _i64, h.nnets, "sizes"),
+            n, *_topology(state),
             _arg(order, _i64, n, "order"),
             _arg(match, _i64, n, "match"),
             _arg(score, _f64, n, "score"),
@@ -374,12 +405,72 @@ class NativeBackend(KernelBackend):
         )
         return match
 
+    def contract_pins(
+        self, h: Hypergraph, cmap: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pin contraction through the compiled per-net loop (a stamp
+        array deduplicates, each net's pins are then sorted)."""
+        cmap = np.ascontiguousarray(cmap, dtype=np.int64)
+        if cmap.size and (cmap.min() < 0 or cmap.max() >= h.nverts):
+            raise PartitioningError(
+                f"contract_pins: cmap values must lie in [0, {h.nverts})"
+            )
+        xpins = np.empty(h.nnets + 1, dtype=np.int64)
+        pins = np.empty(h.npins, dtype=np.int64)
+        ncost = np.empty(h.nnets, dtype=np.int64)
+        stamp = np.empty(h.nverts, dtype=np.int64)
+        nout = self._lib.repro_contract_pins(
+            h.nnets, h.nverts,
+            _arg(h.xpins, _i64, h.nnets + 1, "xpins"),
+            _arg(h.pins, _i64, h.npins, "pins"),
+            _arg(cmap, _i64, h.nverts, "cmap"),
+            _arg(h.ncost, _i64, h.nnets, "ncost"),
+            stamp.ctypes.data, xpins.ctypes.data, pins.ctypes.data,
+            ncost.ctypes.data,
+        )
+        # Views of the front of each buffer: the untouched tail pages
+        # of a large allocation are never made resident.
+        return xpins[: nout + 1], pins[: xpins[nout]], ncost[:nout]
+
     def merge_identical(
         self, xpins: np.ndarray, pins: np.ndarray, ncost: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Identical-net merging is already vectorized; shared with the
-        reference backend."""
-        return merge_identical_nets(xpins, pins, ncost)
+        """Identical-net merging by hashing and comparing the sorted pin
+        slices in one compiled pass."""
+        nnets = xpins.size - 1
+        if nnets <= 1:
+            return xpins, pins, ncost
+        xp = np.ascontiguousarray(xpins, dtype=np.int64)
+        pn = np.ascontiguousarray(pins, dtype=np.int64)
+        nc = np.ascontiguousarray(ncost, dtype=np.int64)
+        # The loop slices pins by xpins.
+        if xp[0] != 0 or xp[-1] != pn.size or bool(np.any(xp[1:] < xp[:-1])):
+            raise PartitioningError(
+                "merge_identical: xpins must run from 0 to len(pins) "
+                "without decreasing"
+            )
+        tsize = 1 << (2 * nnets).bit_length()
+        table = np.empty(2 * tsize, dtype=np.int64)
+        grp = np.empty(nnets, dtype=np.int64)
+        out_xpins = np.empty(nnets + 1, dtype=np.int64)
+        out_pins = np.empty(pn.size, dtype=np.int64)
+        out_ncost = np.empty(nnets, dtype=np.int64)
+        nsurv = self._lib.repro_merge_identical(
+            nnets,
+            _arg(xp, _i64, nnets + 1, "xpins"),
+            _arg(pn, _i64, pn.size, "pins"),
+            _arg(nc, _i64, nnets, "ncost"),
+            table.ctypes.data, tsize, grp.ctypes.data,
+            out_xpins.ctypes.data, out_pins.ctypes.data,
+            out_ncost.ctypes.data,
+        )
+        if nsurv == nnets:
+            return xpins, pins, ncost
+        return (
+            out_xpins[: nsurv + 1],
+            out_pins[: out_xpins[nsurv]],
+            out_ncost[:nsurv],
+        )
 
     def greedy_owners(
         self,

@@ -1,6 +1,6 @@
 """The pure-Python reference backend.
 
-This is the seed implementation of the three hot loops, relocated from
+This is the seed implementation of the hot kernels, relocated from
 ``partitioner/fm.py`` and ``partitioner/coarsen.py`` and tightened for
 interpreter throughput while keeping results bit-identical:
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels.base import KernelBackend
 from repro.kernels.kway import compute_kway_setup
 from repro.kernels.state import FMPassState, compute_fm_setup
@@ -881,8 +882,39 @@ class PythonBackend(KernelBackend):
         return np.asarray(match, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
-    # Identical-net merging.
+    # Contraction and identical-net merging.
     # ------------------------------------------------------------------ #
+    def contract_pins(
+        self, h: Hypergraph, cmap: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Map and deduplicate the pins of every net with one lexsort."""
+        if h.npins == 0:
+            return (
+                np.zeros(1, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+            )
+        net_ids = h.net_ids()
+        new_pins = cmap[h.pins]
+        order = np.lexsort((new_pins, net_ids))
+        sn = net_ids[order]
+        sp = new_pins[order]
+        keep = np.empty(sn.size, dtype=bool)
+        keep[0] = True
+        keep[1:] = (sn[1:] != sn[:-1]) | (sp[1:] != sp[:-1])
+        sn = sn[keep]
+        sp = sp[keep]
+        new_sizes = np.bincount(sn, minlength=h.nnets)
+
+        # Drop nets that shrank below two pins; they can never be cut.
+        live = new_sizes >= 2
+        keep_pin = live[sn]
+        sp = sp[keep_pin]  # already grouped by net in ascending net order
+        live_ids = np.flatnonzero(live)
+        xpins = np.zeros(live_ids.size + 1, dtype=np.int64)
+        np.cumsum(new_sizes[live_ids], out=xpins[1:])
+        return xpins, sp, h.ncost[live_ids]
+
     def merge_identical(
         self, xpins: np.ndarray, pins: np.ndarray, ncost: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,6 +19,10 @@ contract for callers:
 * results are bit-identical whether a state is fresh or reused — the
   equivalence is pinned by ``tests/kernels/test_state.py``.
 
+The native backend also caches the checked addresses of the topology
+arrays here (:attr:`topology`); they cannot go stale, because the arrays
+are read-only and the state dies with its hypergraph.
+
 Repeated refinement (multilevel per-level calls, V-cycles, Algorithm-2
 iterations, ``n_initial`` restarts at the coarsest level) therefore pays
 the ``tolist()`` conversions and the ``net_ids`` expansion once per
@@ -55,6 +59,7 @@ class FMPassState:
         "lists",
         "arrays",
         "kway",
+        "topology",
     )
 
     def __init__(self, h: Hypergraph, backend_name: str) -> None:
@@ -74,6 +79,8 @@ class FMPassState:
         #: k-way bucket/move scratch (built on demand, see
         #: :meth:`kway_arrays`).
         self.kway: dict | None = None
+        #: Checked topology addresses (set by the native backend).
+        self.topology: tuple | None = None
 
     @property
     def h(self) -> Hypergraph:
@@ -115,14 +122,18 @@ class FMPassState:
         """Reusable flat scratch arrays for the native backend.
 
         All int64 / uint8 / float64 (the C loops' element types), sized
-        once per hypergraph: bucket heads and links, lock flags, the move
-        log, and the matching scores.  Pin counts and gains come fresh
-        from :func:`compute_fm_setup` each pass and are not cached.
+        once per hypergraph: the per-net pin counts, gains and seeding
+        mask the compiled pass set-up writes, bucket heads and links,
+        lock flags, the move log, and the matching scores.
         """
         if self.arrays is None:
             h = self.h
             n = h.nverts
             self.arrays = {
+                "pc0": np.empty(h.nnets, dtype=np.int64),
+                "pc1": np.empty(h.nnets, dtype=np.int64),
+                "bgain": np.empty(n, dtype=np.int64),
+                "insert_mask": np.empty(n, dtype=np.uint8),
                 "head": np.empty((2, self.nbuckets), dtype=np.int64),
                 "nxt": np.empty(n, dtype=np.int64),
                 "prv": np.empty(n, dtype=np.int64),
@@ -162,13 +173,13 @@ class FMPassState:
 def compute_fm_setup(
     h: Hypergraph, parts: np.ndarray, boundary_only: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized per-pass FM setup, shared by every backend.
+    """Vectorized per-pass FM setup of the ``"python"`` reference.
 
     Returns ``(pc0, pc1, gain, insert_mask)``: per-net pin counts on each
     side, the initial move gain per vertex, and the bucket-seeding mask
     (all vertices, or only boundary vertices when ``boundary_only``).
-    Identical across backends by construction, which is what makes the
-    backends bit-compatible — only the sequential move loop differs.
+    The arithmetic is integer-only; the native backend computes the
+    same arrays in C inside its move-loop call (``repro_fm_setup``).
     """
     net_ids = h.net_ids()
     pin_parts = parts[h.pins]

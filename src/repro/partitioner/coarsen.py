@@ -10,15 +10,15 @@ directly.  Two matching scores are provided (selected by
 * ``"absorption"`` — PaToH-style absorption score ``cost / (|net| - 1)``,
   which discounts large nets.
 
-Contraction is fully vectorized: pins are mapped through the cluster map,
-deduplicated with one lexsort, nets that shrink below two pins are dropped
-(they can never be cut), and — optionally — nets with identical pin sets
-are merged with their costs added, which both shrinks the problem and
-sharpens FM gains on the coarse levels.
+Contraction maps pins through the cluster map, deduplicates and sorts
+them within each net, drops nets that shrink below two pins (they can
+never be cut), and — optionally — merges nets with identical pin sets,
+adding their costs, which both shrinks the problem and sharpens FM gains
+on the coarse levels.
 
-The scalar matching sweep and the identical-net merge are kernel-backend
-calls (:mod:`repro.kernels`), so the native backend accelerates coarsening
-exactly as it does FM refinement.
+The matching sweep, the pin contraction and the identical-net merge are
+kernel-backend calls (:mod:`repro.kernels`), so the native backend
+accelerates coarsening exactly as it does FM refinement.
 """
 
 from __future__ import annotations
@@ -110,48 +110,13 @@ def contract(
     cvwgt = np.zeros(ncoarse, dtype=np.int64)
     np.add.at(cvwgt, cmap, h.vwgt)
 
-    if h.npins == 0:
-        coarse = Hypergraph(
-            ncoarse,
-            np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            vwgt=cvwgt,
-            ncost=np.empty(0, dtype=np.int64),
-            validate=False,
-        )
-        return cmap, coarse
-
-    # Map pins and deduplicate within each net with a single lexsort.
-    net_ids = h.net_ids()
-    new_pins = cmap[h.pins]
-    order = np.lexsort((new_pins, net_ids))
-    sn = net_ids[order]
-    sp = new_pins[order]
-    keep = np.empty(sn.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = (sn[1:] != sn[:-1]) | (sp[1:] != sp[:-1])
-    sn = sn[keep]
-    sp = sp[keep]
-    new_sizes = np.bincount(sn, minlength=h.nnets)
-
-    # Drop nets that shrank below two pins; they can never be cut.
-    live = new_sizes >= 2
-    keep_pin = live[sn]
-    sn = sn[keep_pin]
-    sp = sp[keep_pin]
-    live_ids = np.flatnonzero(live)
-    ncost = h.ncost[live_ids]
-    live_sizes = new_sizes[live_ids]
-    xpins = np.zeros(live_ids.size + 1, dtype=np.int64)
-    np.cumsum(live_sizes, out=xpins[1:])
-    pins = sp  # already grouped by net in ascending net order
-
-    if merge_identical_nets and live_ids.size > 1:
-        if backend is None:
-            # No config reaches a bare contract() call: default to the
-            # reference backend (predictable, and every backend's merge
-            # must be bit-identical to it anyway) rather than "auto".
-            backend = resolve_backend("python")
+    if backend is None:
+        # No config reaches a bare contract() call: default to the
+        # reference backend (predictable, and every backend must be
+        # bit-identical to it anyway) rather than "auto".
+        backend = resolve_backend("python")
+    xpins, pins, ncost = backend.contract_pins(h, cmap)
+    if merge_identical_nets and xpins.size > 2:
         xpins, pins, ncost = backend.merge_identical(xpins, pins, ncost)
 
     coarse = Hypergraph(

@@ -43,11 +43,7 @@ items:
 from __future__ import annotations
 
 import dataclasses
-import errno as _errno
 import hashlib
-import json
-import os
-import sys
 import time
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
@@ -76,7 +72,8 @@ from repro.utils.executor import (
     pool_submit,
     resilient_map,
 )
-from repro.utils.parallel import resolve_jobs as _resolve_jobs
+from repro.utils.journal import Journal
+from repro.utils.parallel import resolve_jobs
 from repro.utils.rng import spawn_seeds
 
 _SWEEP_CHUNKS = _metrics.counter(
@@ -94,7 +91,6 @@ __all__ = [
     "run_sweep",
     "SweepCheckpoint",
     "SweepAggregator",
-    "resolve_jobs",
 ]
 
 
@@ -333,11 +329,6 @@ def _chunk_by_instance(specs: Sequence[RunSpec]) -> list[list[RunSpec]]:
     return chunks
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``jobs`` request: ``None``/``0`` means the CPU count."""
-    return _resolve_jobs(jobs, error=EvaluationError)
-
-
 def _sweep_fingerprint(specs: Sequence[RunSpec]) -> str:
     """Identity of a sweep for checkpoint compatibility.
 
@@ -386,120 +377,64 @@ def _record_from_json(data: dict):
 
 
 class SweepCheckpoint:
-    """JSONL journal of completed sweep records (crash-resumable sweeps).
+    """Journal of completed sweep records (crash-resumable sweeps).
 
-    Line 1 is a header carrying the sweep fingerprint (so a journal can
-    never be replayed against a *different* sweep); every further line is
-    ``{"index": <spec index>, "record": {...}}``, appended and fsynced
-    the moment the record is produced — a SIGKILLed sweep loses at most
-    the record being written, and a torn trailing line from the kill is
-    skipped on reload.  ``done`` maps already-completed spec indices to
-    their reloaded records; :func:`run_sweep` skips those specs and
-    yields the journal's records in their place, so an interrupted sweep
-    resumed with the same specs streams results bit-identical to an
-    uninterrupted run.
-
-    Disk pressure degrades, never aborts: an ``OSError`` on a journal
-    write (``ENOSPC``, quota) drops the file handle and the sweep keeps
-    streaming **unjournaled** — records after the failure simply rerun
-    on a resume.  The one-shot brief is exposed via
-    :meth:`take_write_error` so :func:`run_sweep` can annotate the
-    record in flight when it happened; the ``checkpoint.write`` fault
-    point (inside :meth:`_write`) lets the chaos suite inject exactly
-    this.
+    A :mod:`repro.utils.journal` journal of ``{"index": <spec index>,
+    "record": {...}}`` entries.  Its header carries the sweep
+    fingerprint; a foreign, unreadable or older-format header raises
+    :class:`~repro.errors.EvaluationError` before anything on disk is
+    touched.  ``done`` maps completed spec indices to their records,
+    which :func:`run_sweep` yields in place of rerunning them.
     """
 
     def __init__(self, path, specs: Sequence[RunSpec]) -> None:
         self.path = Path(path)
         self.fingerprint = _sweep_fingerprint(specs)
-        self.done: dict[int, object] = {}
-        self.write_error: str | None = None
         self._error_taken = False
-        self._fh = None
-        if self.path.exists() and self.path.stat().st_size:
-            self._load()
-        try:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        except OSError as exc:
-            self._degrade(exc)
-        if self._fh is not None and self._fh.tell() == 0:
-            self._write({"sweep": self.fingerprint, "version": 1})
+        self._journal = Journal(
+            self.path, {"sweep": self.fingerprint, "version": 2},
+            fault="checkpoint.write", error="CheckpointWriteError",
+        )
+        self.done: dict[int, object] = dict(self._journal.open(
+            lambda e: (int(e["index"]), _record_from_json(e["record"])),
+            accept=self._accept,
+        ))
 
-    def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        try:
-            header = json.loads(lines[0])
-        except (json.JSONDecodeError, IndexError):
-            raise EvaluationError(
-                f"checkpoint {self.path} has no readable header; "
-                f"delete it to start the sweep over"
-            ) from None
-        if header.get("sweep") != self.fingerprint:
-            raise EvaluationError(
-                f"checkpoint {self.path} belongs to a different sweep "
-                f"(journal {header.get('sweep')!r} != specs "
-                f"{self.fingerprint!r}); point it elsewhere or delete it"
-            )
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail write from a crash; the spec reruns
-            self.done[int(entry["index"])] = _record_from_json(
-                entry["record"]
-            )
-
-    def _write(self, obj: dict) -> None:
-        if self._fh is None:
-            return  # journaling already degraded away
-        try:
-            faults.fault_point("checkpoint.write")
-            self._fh.write(json.dumps(obj) + "\n")
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except OSError as exc:
-            self._degrade(exc)
-
-    def _degrade(self, exc: OSError) -> None:
-        """Stop journaling after a write failure; the sweep continues."""
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:  # pragma: no cover - close-on-full-disk
-                pass
-            self._fh = None
-        name = _errno.errorcode.get(exc.errno, "OSError")
-        self.write_error = f"CheckpointWriteError[{name}]"
-        print(
-            f"repro-sweep: checkpoint journal degraded to read-only "
-            f"({name}: {exc}); the sweep continues unjournaled",
-            file=sys.stderr,
+    def _accept(self, found) -> bool:
+        header = self._journal.header
+        if found == header:
+            return True
+        if found is None or "sweep" not in found:
+            why = "has no readable sweep header"
+        elif found.get("version") != header["version"]:
+            why = (f"is in journal format version "
+                   f"{found.get('version')!r}, not {header['version']}")
+        else:
+            why = (f"belongs to a different sweep (journal "
+                   f"{found['sweep']!r} != specs {self.fingerprint!r})")
+        raise EvaluationError(
+            f"checkpoint {self.path} {why}; point it elsewhere or delete "
+            f"it to start the sweep over"
         )
 
     def take_write_error(self) -> str | None:
-        """The degradation brief, the first time it is asked for.
-
-        One record carries the annotation (the one whose append
-        failed); later records run identically to an unjournaled sweep
-        and stay clean — ``failures`` describes events, not a sticky
-        state, and ``/stats``-style polling belongs to the daemon tier.
-        """
-        if self.write_error is None or self._error_taken:
+        """The degradation brief, the first time it is asked for: only
+        the record whose append failed carries it (``failures`` describe
+        events, not a sticky state)."""
+        if self._journal.error is None or self._error_taken:
             return None
         self._error_taken = True
-        return self.write_error
+        return self._journal.error
 
     def append(self, spec: RunSpec, record) -> None:
         """Journal one completed record (flushed and fsynced)."""
-        self._write(
+        self._journal.append(
             {"index": spec.index, "record": _record_to_json(record)}
         )
 
     def close(self) -> None:
         """Close the journal file handle (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._journal.close()
 
 
 def _validate_chunk_records(chunk: list[RunSpec], records) -> None:
@@ -611,7 +546,7 @@ def run_sweep(
             specs = [spec for chunk in chunks for spec in chunk]
         jobs = workers
     else:
-        jobs = resolve_jobs(jobs)
+        jobs = resolve_jobs(jobs, error=EvaluationError)
     ctx = _trace.current_context()
     if ctx is not None:
         # Stamp the live trace envelope onto every spec so pool workers

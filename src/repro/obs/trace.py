@@ -14,10 +14,10 @@ Design constraints, in order:
    forked pool worker land on the same timeline as the parent's and
    the stitched tree needs no clock reconciliation.
 3. **Journal-grade sink.**  Span records are JSON Lines appended with
-   a single buffered write + flush per record (the
-   ``SweepCheckpoint`` / ``PartitionCache`` idiom).  Files are opened
-   ``O_APPEND`` so concurrent writers (daemon + pool workers) do not
-   clobber each other; readers tolerate a torn tail.  On ``OSError``
+   a single buffered write + flush per record (:mod:`repro.utils.journal`
+   minus fsync and checksums).  Files are opened ``O_APPEND`` so
+   concurrent writers (daemon + pool workers) do not clobber each
+   other; readers tolerate a torn tail.  On ``OSError``
    the sink degrades to dropping records rather than failing the run.
 4. **Context crosses processes like a deadline does.**  A
    :class:`TraceContext` is a tiny picklable envelope — trace id,

@@ -17,9 +17,9 @@ The package splits into four modules:
     the minimal HTTP/1.1 wire helpers (stdlib only).
 :mod:`repro.serve.cache`
     The crash-safe partition cache: a content-addressed in-memory map
-    persisted through an fsynced, torn-tail-tolerant JSONL journal in
-    the ``SweepCheckpoint`` style — a SIGKILLed daemon restarts warm
-    with zero corrupted entries.
+    persisted through a :mod:`repro.utils.journal` journal (fsynced per
+    entry, checksummed per line, torn tail dropped) — a SIGKILLed
+    daemon restarts warm with zero corrupted entries.
 :mod:`repro.serve.daemon`
     The asyncio daemon itself: bounded admission queue with
     backpressure (503 + ``Retry-After``), per-request deadlines through

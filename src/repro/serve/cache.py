@@ -6,48 +6,27 @@ digest, nparts, eps, method, refine, algo, seed, config)`` — so a cache
 hit is *guaranteed* bit-identical to recomputation (partitioning is
 deterministic in the seed; speed-only knobs never enter the key).
 
-Persistence follows the ``SweepCheckpoint`` journal discipline
-(:class:`repro.eval.sweep.SweepCheckpoint`): an append-only JSONL file
-whose first line is a format header and whose every further line is one
-``{"key": ..., "result": {...}}`` entry, flushed **and fsynced** before
-the entry is considered stored.  A SIGKILLed daemon therefore loses at
-most the entry being written, and the torn trailing line it may leave is
-skipped on reload — restart is warm with zero corrupted entries, by
-construction rather than by repair.
-
-Two deliberate differences from the checkpoint journal:
-
-* an unreadable or foreign journal is *not* fatal — a cache's contract
-  is availability, so the bad file is moved aside
-  (``<path>.corrupt``) and service continues cold instead of refusing
-  to start;
-* the journal self-compacts: entries evicted by the in-memory LRU stay
-  on disk (append-only) until they outnumber live entries enough that a
-  restart would mostly replay garbage, at which point the journal is
-  atomically rewritten (tmp + fsync + rename) with live entries only.
-
-Disk pressure is a degradation, never a crash: an ``OSError`` on a
-journal write (``ENOSPC``, quota, a yanked volume) switches the cache to
-**pass-through mode** — the journal handle is dropped, the in-memory LRU
-keeps serving hits, and :attr:`PartitionCache.write_error` records one
-brief for the daemon to surface.  The ``cache.write`` fault point sits
-inside the guarded append so the chaos suite can inject exactly that.
+Entries persist in a :mod:`repro.utils.journal` journal, so a SIGKILLed
+daemon restarts warm with zero corrupted entries.  The cache's policy
+on top of it: an unusable journal is moved aside (``<path>.corrupt``)
+and service starts cold — a cache must come up, not refuse to; the
+journal is compacted once LRU-evicted lines outnumber live entries;
+and a journal degraded by disk pressure leaves an in-memory LRU
+(**pass-through mode**) with one :attr:`PartitionCache.write_error`
+brief for the daemon to surface.
 """
 
 from __future__ import annotations
 
-import errno as _errno
-import json
-import os
-import sys
 from collections import OrderedDict
 from pathlib import Path
 
 from repro.utils import faults
+from repro.utils.journal import Journal
 
 __all__ = ["PartitionCache"]
 
-_HEADER = {"partition_cache": 1}
+_HEADER = {"partition_cache": 2}
 
 
 class PartitionCache:
@@ -73,131 +52,42 @@ class PartitionCache:
         #: longer correspond to a live entry (eviction/overwrite debt).
         self._dead = 0
         self._live: OrderedDict[str, dict] = OrderedDict()
-        self._valid_bytes = 0
-        self._fh = None
-        #: One brief (``"CacheWriteError[ENOSPC]"``) after the journal
-        #: degraded to pass-through mode; ``None`` while healthy.
-        self.write_error: str | None = None
+        self._journal = None
         if self.path is not None:
-            try:
-                self._open_journal()
-            except OSError as exc:
-                self._degrade(exc)
+            self._journal = Journal(self.path, _HEADER, fault="cache.write",
+                                    error="CacheWriteError")
+            # An unreadable or foreign journal is moved aside and
+            # service starts cold: a cache must come up, not refuse to.
+            for key, result in self._journal.open(
+                lambda entry: (entry["key"], entry["result"]),
+                accept=lambda header: header == _HEADER,
+            ):
+                self._store(key, result)
+            if self._dead > max(16, len(self._live)):
+                # A restart replaying mostly-dead lines: compact now,
+                # while nothing is being served.
+                self._compact()
 
-    # ------------------------------------------------------------------ #
-    # Journal lifecycle
-    # ------------------------------------------------------------------ #
-    def _open_journal(self) -> None:
-        if self.path.exists() and self.path.stat().st_size:
-            if not self._load():
-                # Unreadable header: move the bad file aside and start
-                # cold — a cache must come up, not refuse to.
-                corrupt = self.path.with_name(self.path.name + ".corrupt")
-                os.replace(self.path, corrupt)
-                self._live.clear()
-                self._dead = 0
-            elif self._valid_bytes < self.path.stat().st_size:
-                # Drop the torn tail a mid-write kill left, so the next
-                # append starts on a clean line instead of merging into
-                # (and thereby losing) the half-written one.
-                os.truncate(self.path, self._valid_bytes)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if self._fh.tell() == 0:
-            self._append_line(_HEADER)
-        elif self._dead > max(16, len(self._live)):
-            # A restart replaying mostly-dead lines: compact now, while
-            # nothing is being served.
-            self._compact()
-
-    def _load(self) -> bool:
-        """Replay the journal; ``False`` when the header is unusable.
-
-        Tracks ``_valid_bytes`` — the byte length of the replayable
-        prefix — so the caller can truncate a torn tail away.  A line
-        only counts as valid when it parsed *and* ended in a newline
-        (a kill between an entry's bytes and its ``\\n`` would
-        otherwise swallow the next append).
-        """
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        self._valid_bytes = 0
-        if not raw:
-            return True
-        try:
-            header = json.loads(lines[0])
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return False
-        if not isinstance(header, dict) \
-                or header.get("partition_cache") != 1:
-            return False
-        if len(lines) == 1:  # header without its newline yet
-            return False
-        self._valid_bytes = len(lines[0]) + 1
-        self._live.clear()
-        self._dead = 0
-        # ``split`` leaves a trailing b"" for a newline-terminated file;
-        # anything else in the last slot is a torn tail by definition.
-        for line in lines[1:-1]:
-            try:
-                entry = json.loads(line)
-                key, result = entry["key"], entry["result"]
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                    TypeError):
-                # Torn/garbled line: everything before it was fsynced
-                # entry-by-entry, so stop here and truncate the rest.
-                break
-            self._valid_bytes += len(line) + 1
-            if key in self._live:
-                self._dead += 1
-                self._live.pop(key)
-            self._live[key] = result
+    def _store(self, key: str, result: dict) -> None:
+        if key in self._live:
+            self._live.pop(key)
+            self._dead += 1
+        self._live[key] = result
         while len(self._live) > self.cap:
             self._live.popitem(last=False)
             self._dead += 1
-        return True
-
-    def _append_line(self, obj: dict) -> None:
-        self._fh.write(json.dumps(obj) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def _compact(self) -> None:
-        """Atomically rewrite the journal with live entries only."""
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_HEADER) + "\n")
-            for key, result in self._live.items():
-                fh.write(json.dumps({"key": key, "result": result}) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        if self._fh is not None:
-            self._fh.close()
-        os.replace(tmp, self.path)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._journal.compact(
+            {"key": key, "result": result}
+            for key, result in self._live.items()
+        )
         self._dead = 0
 
-    def _degrade(self, exc: OSError) -> None:
-        """Drop the journal: pass-through mode, one recorded brief.
-
-        The in-memory LRU is untouched — hits keep serving — and the
-        degradation is one-way for this process's lifetime: a disk that
-        just filled will fill again, and flapping between modes would
-        interleave torn appends with good ones.
-        """
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:  # pragma: no cover - close-on-full-disk
-                pass
-            self._fh = None
-        name = _errno.errorcode.get(exc.errno, "OSError")
-        self.write_error = f"CacheWriteError[{name}]"
-        print(
-            f"repro-serve: partition cache journal degraded to "
-            f"pass-through ({name}: {exc}); memoization continues "
-            f"in memory only",
-            file=sys.stderr,
-        )
+    @property
+    def write_error(self) -> str | None:
+        """``"CacheWriteError[ERRNO]"`` once the journal degraded."""
+        return self._journal.error if self._journal else None
 
     @property
     def read_only(self) -> bool:
@@ -228,25 +118,15 @@ class PartitionCache:
 
         The ``serve.cache`` fault point sits *before* the append so
         chaos tests can kill the daemon mid-write — the torn line the
-        kill leaves is exactly what :meth:`_load` tolerates.
+        kill leaves is exactly what a journal replay drops.
         """
-        if key in self._live:
-            self._live.pop(key)
-            self._dead += 1
-        self._live[key] = result
-        while len(self._live) > self.cap:
-            self._live.popitem(last=False)
-            self._dead += 1
-        if self._fh is None:
+        self._store(key, result)
+        if self._journal is None or self.read_only:
             return
         faults.fault_point("serve.cache")
-        try:
-            faults.fault_point("cache.write")
-            self._append_line({"key": key, "result": result})
-            if self._dead > max(64, 2 * len(self._live)):
-                self._compact()
-        except OSError as exc:
-            self._degrade(exc)
+        self._journal.append({"key": key, "result": result})
+        if self._dead > max(64, 2 * len(self._live)):
+            self._compact()
 
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache (0.0 when unused)."""
@@ -255,6 +135,5 @@ class PartitionCache:
 
     def close(self) -> None:
         """Close the journal handle (idempotent; entries stay on disk)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._journal is not None:
+            self._journal.close()

@@ -88,8 +88,8 @@ FAULT_POINTS = frozenset({
     "serve.request",      # daemon side, after a request is admitted
     "serve.cache",        # daemon side, before each cache journal write
     "serve.drain",        # daemon side, at the start of a graceful drain
-    "cache.write",        # inside the partition cache's journal append
-    "checkpoint.write",   # inside the sweep checkpoint's journal append
+    "cache.write",        # before each partition-cache journal line
+    "checkpoint.write",   # before each sweep-checkpoint journal line
 })
 
 FAULT_KINDS = ("exception", "crash", "hang", "shm", "poison", "disk")

@@ -8,7 +8,6 @@ of ``docs/robustness.md`` end to end.
 """
 
 import dataclasses
-import json
 import os
 import signal
 import subprocess
@@ -23,7 +22,7 @@ from repro.errors import EvaluationError
 from repro.eval.runner import PAPER_METHODS
 from repro.eval.sweep import build_runspecs, run_sweep
 from repro.sparse.collection import build_collection
-from repro.utils import faults
+from repro.utils import faults, journal
 from repro.utils.executor import shutdown_pools
 
 pytestmark = pytest.mark.chaos
@@ -63,10 +62,11 @@ def test_journal_format_and_full_replay(tmp_path, reference):
     assert _strip(first) == reference
 
     lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    assert header["version"] == 1 and len(header["sweep"]) == 16
+    header, indices, _ = journal.replay(
+        path.read_bytes(), lambda entry: entry["index"]
+    )
+    assert header["version"] == 2 and len(header["sweep"]) == 16
     assert len(lines) == 1 + len(specs)
-    indices = [json.loads(line)["index"] for line in lines[1:]]
     assert indices == [spec.index for spec in specs]
 
     # Resuming a *complete* journal replays it verbatim — including the

@@ -12,7 +12,6 @@ Four stories, each against a *real* daemon subprocess:
   cache bit-identically (zero corrupted entries).
 """
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,6 +23,7 @@ from repro.serve.cache import PartitionCache
 from repro.serve.testing import start_daemon
 from repro.sparse.collection import load_instance
 from repro.utils import faults
+from repro.utils.journal import replay
 
 pytestmark = pytest.mark.chaos
 
@@ -255,8 +255,8 @@ def test_cache_journal_has_no_corrupt_entries_after_kill(tmp_path, daemon):
             instance=INSTANCE, nparts=2, seed=seed, include_parts=False
         )
     handle.kill()  # SIGKILL, no drain: the journal must already be safe
-    lines = cache.read_text(encoding="utf-8").splitlines()
-    assert json.loads(lines[0]) == {"partition_cache": 1}
-    entries = [json.loads(line) for line in lines[1:]]
+    header, entries, valid = replay(cache.read_bytes(), dict)
+    assert header == {"partition_cache": 2}
+    assert valid == cache.stat().st_size  # no torn or garbled line
     assert len(entries) == 5
     assert all({"key", "result"} <= set(e) for e in entries)

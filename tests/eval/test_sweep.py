@@ -19,7 +19,6 @@ from repro.eval.sweep import (
     _chunk_by_instance,
     build_runspecs,
     execute_runspec,
-    resolve_jobs,
     run_sweep,
 )
 from repro.sparse.collection import build_collection
@@ -132,13 +131,11 @@ class TestRunSweep:
         parallel = list(run_sweep(specs, jobs=3))
         assert _norm(parallel) == _norm(serial)
 
-    def test_resolve_jobs(self):
-        assert resolve_jobs(1) == 1
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs(None) >= 1
-        assert resolve_jobs(0) >= 1
+    def test_resolve_jobs(self, specs):
+        # A bad ``jobs`` is the sweep's own error type, raised before
+        # anything runs.
         with pytest.raises(EvaluationError):
-            resolve_jobs(-2)
+            next(run_sweep(specs, jobs=-2))
 
     def test_unknown_exec_backend_rejected(self, specs):
         # Sweep workers are always processes: there is no backend knob.

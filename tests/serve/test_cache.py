@@ -122,7 +122,7 @@ def test_compaction_rewrites_journal_atomically(tmp_path):
         cache.put(f"k{i}", _result(i))
     cache.close()
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert json.loads(lines[0]) == {"partition_cache": 1}
+    assert json.loads(lines[0]) == {"partition_cache": 2}
     # Compaction kept the journal bounded by the dead-line threshold,
     # not the full 200-entry churn.
     assert len(lines) <= 64 + cache.cap + 2

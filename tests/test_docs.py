@@ -113,7 +113,7 @@ def test_exec_backend_choices_match_usage():
 _REMOVED_NAMES = (
     "process-pickle", "--serve-backend", "resilient_call",
     "bench_regress", "_baseline_kernels", "_baseline_e2e",
-    "BENCH_kernels.json", "bench-regress",
+    "BENCH_kernels.json", "bench-regress", "sweep.resolve_jobs",
 )
 
 
